@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the vendored A249665 b-file fixture.
+"""Regenerate the packaged A249665 b-file fixture in src/anchorperms/data.
 
 The anchored k=3 sequence is exactly what that entry enumerates, so the
 fixture is produced from the proven depth-8 recurrence (offset 1). When a
@@ -12,10 +12,7 @@ from pathlib import Path
 from anchorperms.closed_form import k3_table
 from anchorperms.oeis import fetch_terms
 
-FIXTURE_DIRS = [
-    Path(__file__).resolve().parent.parent / "src" / "anchorperms" / "data",
-    Path(__file__).resolve().parent.parent / "tests" / "fixtures",
-]
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "anchorperms" / "data"
 
 
 def main() -> None:
@@ -25,14 +22,13 @@ def main() -> None:
     args = ap.parse_args()
 
     if args.fetch:
-        table = fetch_terms("A249665", FIXTURE_DIRS[0], refresh=True)
+        table = fetch_terms("A249665", FIXTURE_DIR, refresh=True)
         text = "".join(f"{i} {table[i]}\n" for i in sorted(table.terms))
     else:
         text = "".join(f"{n} {v}\n" for n, v in enumerate(k3_table(args.terms), start=1))
-    for d in FIXTURE_DIRS:
-        d.mkdir(parents=True, exist_ok=True)
-        (d / "A249665.txt").write_text(text)
-        print(f"wrote {d / 'A249665.txt'}")
+    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
+    (FIXTURE_DIR / "A249665.txt").write_text(text)
+    print(f"wrote {FIXTURE_DIR / 'A249665.txt'}")
 
 
 if __name__ == "__main__":

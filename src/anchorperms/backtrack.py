@@ -11,17 +11,13 @@ from typing import Iterator
 from .core import (
     ANCHORED,
     CountTable,
-    GapSpec,
     Permutation,
     Variant,
     endpoints,
+    norm_k,
 )
 
 JOKER_HEAD = (3, 1, 4, 2, 5)
-
-
-def _norm_k(k) -> int:
-    return k.k if isinstance(k, GapSpec) else int(k)
 
 
 def _first_candidates(n: int, variant: Variant) -> list[int]:
@@ -55,7 +51,7 @@ def enumerate_perms(
     """Yield every k-bounded permutation under the variant, in lexicographic
     order, each exactly once. Pruning is behavior-invisible; disable it only
     for differential testing."""
-    kk = _norm_k(k)
+    kk = norm_k(k)
     if n < 1:
         raise ValueError("n must be >= 1")
     variant.check_range(n)
@@ -108,7 +104,7 @@ def count_brute(k, n: int, variant: Variant = ANCHORED, *, prune: bool = True) -
 
 def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]:
     """(count, nodes): search-tree node count for benchmarking."""
-    kk = _norm_k(k)
+    kk = norm_k(k)
     variant.check_range(n)
     final = None
     if variant.kind == "anchored":
@@ -191,6 +187,6 @@ def count_classes_fgh(n: int) -> tuple[int, int, int]:
 
 
 def brute_table(k, max_n: int, variant: Variant = ANCHORED) -> CountTable:
-    kk = _norm_k(k)
+    kk = norm_k(k)
     terms = {n: count_brute(kk, n, variant) for n in range(1, max_n + 1)}
     return CountTable(k=kk, variant=variant, terms=terms, provenance="brute")

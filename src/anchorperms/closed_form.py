@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ANCHORED, FREE, CountTable
-from .polys import poly_gcd, poly_divmod, trim
+from .polys import coprime_mod_p, poly_divmod, poly_gcd, trim
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class RationalGF:
     def __post_init__(self):
         if not self.denominator or self.denominator[0] != 1:
             raise ValueError("denominator constant term must be 1")
-        g = poly_gcd(list(self.numerator), list(self.denominator))
-        if len(g) > 1:
+        num, den = list(self.numerator), list(self.denominator)
+        if not coprime_mod_p(num, den) and len(poly_gcd(num, den)) > 1:
             raise ValueError("numerator and denominator share a factor")
 
     @staticmethod
@@ -61,15 +61,17 @@ class RationalGF:
 
         Both sides are divided by their polynomial gcd and then by the
         single scalar that makes the denominator's constant term 1, so the
-        value of the fraction is preserved exactly."""
+        value of the fraction is preserved exactly. The exact gcd runs only
+        when the modular coprimality certificate fails."""
         num = [Fraction(x) for x in trim(list(numerator))]
         den = [Fraction(x) for x in trim(list(denominator))]
         if not den:
             raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if len(g) > 1:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
+        if not coprime_mod_p(num, den):
+            g = poly_gcd(num, den)
+            if len(g) > 1:
+                num, _ = poly_divmod(num, g)
+                den, _ = poly_divmod(den, g)
         if not den or den[0] == 0:
             raise ValueError("denominator must have nonzero constant term")
         c = den[0]

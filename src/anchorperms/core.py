@@ -145,9 +145,14 @@ class CountTable:
         return [self.terms[i] for i in sorted(self.terms)]
 
 
+def norm_k(k: GapSpec | int) -> int:
+    """The gap bound as a plain int, from a GapSpec or an int."""
+    return k.k if isinstance(k, GapSpec) else int(k)
+
+
 def is_k_bounded(p: Permutation, k: GapSpec | int) -> bool:
     """True iff every consecutive absolute difference is at most k."""
-    kk = k.k if isinstance(k, GapSpec) else k
+    kk = norm_k(k)
     e = p.entries
     return all(abs(e[i + 1] - e[i]) <= kk for i in range(len(e) - 1))
 
@@ -170,7 +175,7 @@ def is_blocked(prefix: Sequence[int], k: GapSpec | int, n: int) -> bool:
     """
     if not prefix:
         raise ValueError("empty prefix has no last entry")
-    kk = k.k if isinstance(k, GapSpec) else k
+    kk = norm_k(k)
     used = set(prefix)
     a = prefix[-1]
     for v in range(max(1, a - kk), min(n, a + kk) + 1):

@@ -11,10 +11,10 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .core import FREE, CountTable
 
@@ -97,22 +97,25 @@ def fetch_terms(
     if path.exists() and not refresh:
         return parse_bfile(path.read_text())
     try:
-        resp = requests.get(bfile_url(sequence_id, base_url), timeout=30)
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(bfile_url(sequence_id, base_url), timeout=30) as resp:
+            status, text = resp.status, resp.read().decode()
+    except urllib.error.HTTPError as exc:
+        raise OeisFetchError(f"HTTP {exc.code} fetching {sequence_id}") from exc
+    except OSError as exc:  # URLError, timeouts and refused connections
         if path.exists():
             return parse_bfile(path.read_text())
         raise OfflineCacheMissError(
             f"offline and no cached b-file for {sequence_id}"
         ) from exc
-    if resp.status_code != 200:
-        raise OeisFetchError(f"HTTP {resp.status_code} fetching {sequence_id}")
+    if status != 200:
+        raise OeisFetchError(f"HTTP {status} fetching {sequence_id}")
     cache_dir.mkdir(parents=True, exist_ok=True)
     # Write-to-temp plus atomic rename so concurrent fetches cannot
     # corrupt the cache.
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{sequence_id}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(resp.text)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,12 +1,15 @@
 """Small exact polynomial helpers over the rationals.
 
 Polynomials are coefficient lists in ascending degree order. Only what the
-generating-function code needs: arithmetic, gcd, normalization.
+generating-function code needs: arithmetic, gcd, normalization, and a
+modular coprimality certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+_P = (1 << 61) - 1
 
 
 def trim(p: list) -> list:
@@ -62,3 +65,30 @@ def poly_gcd(a: list, b: list) -> list:
         lead = a[-1]
         a = [c / lead for c in a]
     return a
+
+
+def coprime_mod_p(a: list, b: list) -> bool:
+    """Certificate that a and b (integer or rational) are coprime over Q.
+
+    True when p = 2^61 - 1 divides no coefficient denominator nor b's
+    leading coefficient, and gcd(a mod p, b mod p) is a nonzero constant.
+    By Gauss's lemma a common factor over Q would survive reduction mod p
+    with its degree intact. False proves nothing; use poly_gcd then."""
+    a, b = trim(list(a)), trim(list(b))
+    if not b or b[-1].numerator % _P == 0 or any(x.denominator % _P == 0 for x in a + b):
+        return False
+
+    def mod_p(poly: list) -> list:
+        return trim([x.numerator * pow(x.denominator, -1, _P) % _P for x in poly])
+
+    u, v = mod_p(b), mod_p(a)
+    while v:
+        inv = pow(v[-1], -1, _P)
+        while len(u) >= len(v):
+            c = u[-1] * inv % _P
+            shift = len(u) - len(v)
+            for j, y in enumerate(v):
+                u[shift + j] = (u[shift + j] - c * y) % _P
+            u = trim(u)
+        u, v = v, u
+    return len(u) == 1

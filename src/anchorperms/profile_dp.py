@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .core import ANCHORED, CountTable, GapSpec, Variant
+from .core import ANCHORED, CountTable, Variant, norm_k
 
 # Slot encoding: (degree, label). Label 0 for saturated (degree 2) slots;
 # otherwise the label names the open segment the slot's free end belongs
@@ -26,10 +26,6 @@ from .core import ANCHORED, CountTable, GapSpec, Variant
 # as a final path endpoint when its value left the window.
 Slot = tuple[int, int]
 Profile = tuple[tuple[Slot, ...], int]
-
-
-def _norm_k(k) -> int:
-    return k.k if isinstance(k, GapSpec) else int(k)
 
 
 def canonicalize(slots: tuple[Slot, ...]) -> tuple[Slot, ...]:
@@ -197,7 +193,7 @@ class _Sweep:
 
 def count_dp(k, n: int, variant: Variant = ANCHORED) -> int:
     """Exact count of k-bounded permutations under the variant."""
-    kk = _norm_k(k)
+    kk = norm_k(k)
     if n < 1:
         raise ValueError("n must be >= 1")
     variant.check_range(n)
@@ -209,21 +205,15 @@ def count_dp(k, n: int, variant: Variant = ANCHORED) -> int:
 
 def term_table(k, variant: Variant = ANCHORED, max_n: int = 1) -> CountTable:
     """Counts for n = 1..max_n from a single incremental sweep."""
-    kk = _norm_k(k)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    variant.check_range(max_n)
-    sweep = _Sweep(kk, variant)
-    terms = {}
-    for v in range(1, max_n + 1):
-        sweep.step(final_step=(v == max_n))
-        terms[v] = sweep.finished_count()
-    return CountTable(k=kk, variant=variant, terms=terms, provenance="dp")
+    return term_table_stats(k, variant, max_n)[0]
 
 
 def term_table_stats(k, variant: Variant, max_n: int) -> tuple[CountTable, int]:
-    """(table, peak number of simultaneous profiles); for benchmarking."""
-    kk = _norm_k(k)
+    """term_table plus the peak number of simultaneous profiles."""
+    kk = norm_k(k)
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    variant.check_range(max_n)
     sweep = _Sweep(kk, variant)
     terms = {}
     for v in range(1, max_n + 1):
@@ -238,7 +228,7 @@ def state_space_size(k, max_steps: int = 2000) -> int:
     variant. Runs the sweep until the per-step profile set revisits a
     previously seen set (the steady transition map is step-independent
     once the window is full), then reports the union's size."""
-    kk = _norm_k(k)
+    kk = norm_k(k)
     sweep = _Sweep(kk, ANCHORED)
     seen: set[Profile] = set(sweep.states)
     step_sets: set[frozenset[Profile]] = set()

@@ -1,22 +1,19 @@
 """Minimal linear recurrence discovery from exact count tables.
 
-Fits candidate orders with exact rational linear algebra and only accepts
-a recurrence that explains every provided term beyond an initial
-transient. This is the experimental probe for whether the anchored
-counting sequences have rational generating functions for every k, not
-just the proven k <= 3.
+This is the experimental probe for whether the anchored counting sequences
+have rational generating functions for every k, not just the proven k <= 3.
 
-Candidate systems are solved with fraction-free (Bareiss) elimination on
-integer matrices. For large order bounds a modular pre-search locates the
-likely minimal order first, but acceptance and the minimality certificate
-are always established by the exact solver; a wrong modular guess only
-costs time, never correctness.
+The miner runs Berlekamp-Massey (BM; Massey 1969, "Shift-register
+synthesis and BCH decoding") mod a 61-bit prime, lifts the result to
+integers and accepts it only after an exact check on every term. The
+minimality certificate: an integer recurrence reduced mod p is a shift
+register of the same length, so the linear complexity mod p is at most the
+one over Q. With twice that many terms the shortest register is unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import ANCHORED
@@ -24,164 +21,44 @@ from .closed_form import RationalGF, Recurrence
 from .polys import poly_mul, trim
 from .profile_dp import state_space_size, term_table
 
-# Below this order bound the plain ascending exact scan is cheap enough
-# that the modular pre-search is skipped entirely.
-_SMALL_MAX_ORDER = 20
-
-_PRESCREEN_PRIMES = ((1 << 61) - 1, (1 << 31) - 1)
+# 2^61 - 1 and the next three primes below it.
+_PRIMES = tuple((1 << 61) - d for d in (1, 31, 45, 229))
 
 
 class InsufficientDataError(ValueError):
     """Too few terms to certify a fit at the requested maximum order."""
 
 
-def _solve_square_bareiss(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Exact solution of a square integer system via fraction-free
-    elimination; None when the matrix is singular."""
-    r = len(rows)
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    prev = 1
-    for i in range(r):
-        pivot = next((j for j in range(i, r) if m[j][i] != 0), None)
-        if pivot is None:
-            return None
-        m[i], m[pivot] = m[pivot], m[i]
-        for j in range(i + 1, r):
-            mj = m[j]
-            mi = m[i]
-            head = mj[i]
-            if head == 0:
-                for c in range(i + 1, r + 1):
-                    mj[c] = (mi[i] * mj[c]) // prev
-            else:
-                for c in range(i + 1, r + 1):
-                    mj[c] = (mi[i] * mj[c] - head * mi[c]) // prev
-            mj[i] = 0
-        prev = m[i][i]
-    sol = [Fraction(0)] * r
-    for i in range(r - 1, -1, -1):
-        acc = Fraction(m[i][r])
-        for c in range(i + 1, r):
-            acc -= m[i][c] * sol[c]
-        sol[i] = acc / m[i][i]
-    return sol
-
-
-def _solve_full_rational(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Gauss-Jordan over Q on the full (overdetermined) system; None if
-    inconsistent. Free variables are set to zero."""
-    n_cols = len(rows[0])
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * n_cols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][-1]
-    return sol
-
-
-def _consistent_mod(rows: list[list[int]], rhs: list[int], p: int) -> bool:
-    """Whether the system is consistent modulo p (heuristic filter only)."""
-    m = [[x % p for x in row] + [b % p] for row, b in zip(rows, rhs)]
-    n_cols = len(rows[0])
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return all(m[i][-1] == 0 for i in range(r, len(m)))
-
-
-def _equations(terms: list[int], r: int, start: int) -> tuple[list[list[int]], list[int]]:
-    """Rows [a_{n-1} .. a_{n-r}] = a_n for all n >= start + r (1-based)."""
-    rows = []
-    rhs = []
-    for n in range(start + r, len(terms) + 1):
-        rows.append([terms[n - 1 - j] for j in range(1, r + 1)])
-        rhs.append(terms[n - 1])
-    return rows, rhs
-
-
-def _hunt_start(terms: list[int], r: int, max_start: int) -> int:
-    """Most permissive transient usable at order r given the data: leaves
-    at least r + 1 equations."""
-    return max(1, min(max_start, len(terms) - 2 * r))
-
-
-def _attempt(terms: list[int], r: int, max_start: int) -> tuple[tuple[int, ...], int] | None:
-    """Exact fit at order r; returns (integer coefficients, start index)
-    or None. The start is the smallest index from which the relation holds
-    on every provided term."""
-    start = _hunt_start(terms, r, max_start)
-    if len(terms) - (start + r) + 1 < r + 1:
-        return None
-    rows, rhs = _equations(terms, r, start)
-    sol = _solve_square_bareiss([row[:] for row in rows[:r]], rhs[:r])
-    if sol is None:
-        sol = _solve_full_rational(rows, rhs)
-        if sol is None:
-            return None
-    for row, b in zip(rows, rhs):
-        if sum(c * x for c, x in zip(sol, row)) != b:
-            return None
-    if any(c.denominator != 1 for c in sol):
-        return None
-    coeffs = tuple(int(c) for c in sol)
-    if coeffs[-1] == 0:
-        return None
-    # Walk the relation down to the smallest index it still satisfies.
-    while start > 1:
-        n = start - 1 + r
-        if terms[n - 1] != sum(
-            c * terms[n - 1 - j] for j, c in enumerate(coeffs, start=1)
-        ):
-            break
-        start -= 1
-    return coeffs, start
-
-
-def _plausible_mod(terms: list[int], r: int, max_start: int) -> bool:
-    start = _hunt_start(terms, r, max_start)
-    if len(terms) - (start + r) + 1 < r + 1:
-        return False
-    rows, rhs = _equations(terms, r, start)
-    return all(_consistent_mod(rows, rhs, p) for p in _PRESCREEN_PRIMES)
+def _berlekamp_massey(terms: list[int], p: int) -> tuple[list[int], int]:
+    """(connection polynomial C with C[0] = 1 and deg C <= L, length L) of
+    the shortest shift register generating the terms modulo p."""
+    s = [t % p for t in terms]
+    c, b = [1], [1]
+    length, shift, last = 0, 1, 1
+    for n in range(len(s)):
+        d = sum(x * y for x, y in zip(c, s[n::-1])) % p
+        if d:
+            factor = d * pow(last, -1, p) % p
+            prev = c[:]
+            c += [0] * (len(b) + shift - len(c))
+            for i, x in enumerate(b):
+                c[i + shift] = (c[i + shift] - factor * x) % p
+            if 2 * length <= n:
+                length, b, last, shift = n + 1 - length, prev, d, 0
+        shift += 1
+    return (c + [0] * length)[: length + 1], length
 
 
 def find_recurrence(terms: Sequence[int], max_order: int) -> Recurrence | None:
     """Minimal-order integer linear recurrence fitting the terms.
 
-    Terms are indexed from n = 1. A transient of up to max_order leading
-    terms may be excluded from the relation. None means nothing of order
-    <= max_order fits all provided terms."""
+    Terms are indexed from n = 1. BM's shortest register for the window,
+    of length L and connection polynomial C = 1 - c_1 x - ... - c_r x^r,
+    is the recurrence a_n = sum_j c_j a_{n-j} of order r = deg C for all
+    n >= n0 = L + 1 (a transient of L - r terms). It is returned only if it
+    holds exactly on every term, r <= max_order, L - r <= max_order and
+    L + r < len(terms); else None. A window shorter than 2 * L may hide a
+    lower-order fit with a longer transient."""
     terms = list(terms)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -190,47 +67,27 @@ def find_recurrence(terms: Sequence[int], max_order: int) -> Recurrence | None:
             f"need at least {2 * max_order + 4} terms for max_order={max_order}, "
             f"got {len(terms)}"
         )
-    max_start = max_order + 1
-
-    def package(r: int, coeffs: tuple[int, ...], start: int) -> Recurrence:
-        n0 = start + r
-        s = max(r, n0 - 1)
-        return Recurrence(order=r, coefficients=coeffs, initial=tuple(terms[:s]), n0=n0)
-
-    if max_order <= _SMALL_MAX_ORDER:
-        for r in range(1, max_order + 1):
-            hit = _attempt(terms, r, max_start)
-            if hit is not None:
-                return package(r, *hit)
-        return None
-
-    # Binary-search the smallest order that is consistent modulo the
-    # prescreen primes (fit is monotone in the order), then certify with
-    # the exact solver: accept at r, demonstrate failure at r - 1.
-    lo, hi = 1, max_order + 1  # hi = max_order + 1 encodes "none plausible"
-    if not _plausible_mod(terms, max_order, max_start):
-        guess = max_order + 1
-    else:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _plausible_mod(terms, mid, max_start):
-                hi = mid
-            else:
-                lo = mid + 1
-        guess = lo
-    r = guess
-    while r <= max_order:
-        hit = _attempt(terms, r, max_start)
-        if hit is None:
-            r += 1  # modular guess was optimistic; keep ascending exactly
-            continue
-        while r > 1:
-            lower = _attempt(terms, r - 1, max_start)
-            if lower is None:
-                break
-            r -= 1
-            hit = lower
-        return package(r, *hit)
+    modulus, residues, length = 1, [], -1
+    for p in _PRIMES:
+        conn, L = _berlekamp_massey(terms, p)
+        if L < length:
+            continue  # unlucky prime: a longer register was already seen
+        if L > length:
+            modulus, residues, length = 1, [0] * (L + 1), L
+        # CRT the connection coefficients in, then lift symmetrically.
+        inv = pow(modulus, -1, p)
+        residues = [r + modulus * ((x - r) * inv % p) for r, x in zip(residues, conn)]
+        modulus *= p
+        lifted = [-r if r <= modulus // 2 else modulus - r for r in residues[1:]]
+        coeffs = tuple(trim(lifted))
+        if all(
+            terms[n] == sum(c * terms[n - j] for j, c in enumerate(coeffs, start=1))
+            for n in range(L, len(terms))
+        ):
+            r = len(coeffs)
+            if r == 0 or r > max_order or L - r > max_order or L + r >= len(terms):
+                return None
+            return Recurrence(order=r, coefficients=coeffs, initial=tuple(terms[:L]), n0=L + 1)
     return None
 
 
@@ -240,9 +97,7 @@ def predict(rec: Recurrence, seed: Sequence[int], count: int) -> list[int]:
         raise ValueError("seed shorter than recurrence order")
     seq = list(seed)
     for _ in range(count):
-        seq.append(
-            sum(c * seq[-j] for j, c in enumerate(rec.coefficients, start=1))
-        )
+        seq.append(sum(c * seq[-j] for j, c in enumerate(rec.coefficients, start=1)))
     return seq[len(seed):]
 
 
@@ -252,8 +107,7 @@ def to_gf(rec: Recurrence, terms: Sequence[int]) -> RationalGF:
     of the given terms."""
     terms = list(terms)
     den = [1] + [-c for c in rec.coefficients]
-    series = [0] + terms  # coefficient of x^0 is 0
-    prod = poly_mul(den, series)
+    prod = poly_mul(den, [0] + terms)  # coefficient of x^0 is 0
     cutoff = max(rec.order, rec.n0 - 1)
     for d in range(cutoff + 1, len(terms) + 1):
         if d < len(prod) and prod[d] != 0:
@@ -288,21 +142,17 @@ def conjecture_probe(
         raise ValueError("k must be >= 1")
     if max_order is None:
         max_order = (terms_n - 4) // 2
-    table = term_table(k, ANCHORED, terms_n + holdout)
-    all_terms = table.values()
+    all_terms = term_table(k, ANCHORED, terms_n + holdout).values()
     mine_terms = all_terms[:terms_n]
     rec = find_recurrence(mine_terms, max_order)
     if rec is None:
         return None
-    gf = to_gf(rec, mine_terms)
-    predicted = predict(rec, mine_terms, holdout)
-    match = predicted == all_terms[terms_n:]
     return ProbeReport(
         k=k,
         order=rec.order,
         coefficients=rec.coefficients,
-        gf=gf,
-        holdout_match=match,
+        gf=to_gf(rec, mine_terms),
+        holdout_match=predict(rec, mine_terms, holdout) == all_terms[terms_n:],
         state_space_size=state_space_size(k),
         terms_used=terms_n,
         holdout_used=holdout,

@@ -3,7 +3,8 @@
 Each test covers one criterion, prints a single PASS/FAIL line (run with
 pytest -s to see them live), and asserts exact integer equality — no
 tolerances anywhere. The slowest is the k=5 recurrence probe, which mines
-an order-114 recurrence exactly and takes a few minutes.
+an order-114 recurrence exactly; it took 1.7-2.0 s in isolation (Python
+3.11, 2 cores), nearly all of it in the DP for 270 terms.
 """
 
 import time

@@ -142,12 +142,13 @@ def test_verify_oeis_uses_packaged_cache(capsys):
 
 
 def test_verify_oeis_offline_without_cache_is_env_error(capsys, tmp_path, monkeypatch):
-    import requests
+    import urllib.error
+    import urllib.request
 
     monkeypatch.setenv("OEIS_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(
-        requests, "get", lambda *a, **kw: (_ for _ in ()).throw(
-            requests.ConnectionError("no route")
+        urllib.request, "urlopen", lambda *a, **kw: (_ for _ in ()).throw(
+            urllib.error.URLError("no route")
         )
     )
     code, _, err = run(capsys, "verify", "--suite", "oeis")

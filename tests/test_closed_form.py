@@ -21,7 +21,7 @@ from anchorperms.closed_form import (
     k3_table,
 )
 from anchorperms.core import ANCHORED
-from anchorperms.polys import poly_gcd
+from anchorperms.polys import coprime_mod_p, poly_gcd
 
 
 def test_count_k1():
@@ -154,6 +154,15 @@ def test_rational_gf_reduced_preserves_value():
     gf = RationalGF.reduced([0, 4], [1, -1])
     assert gf == RationalGF((0, 4), (1, -1))
     assert expand_gf(gf, 3) == [4, 4, 4]
+
+
+def test_rational_gf_coprime_mod_p_falls_back_to_exact_gcd():
+    p = 2**61 - 1
+    # x p / (1 - x) vanishes mod p, so only the exact gcd can accept it.
+    assert not coprime_mod_p([0, p], [1, -1])
+    assert RationalGF((0, p), (1, -1)).numerator == (0, p)
+    assert coprime_mod_p(gf_k3().numerator, gf_k3().denominator)
+    assert not coprime_mod_p([0, 1, -1], [1, -1])
 
 
 def test_bad_n_rejected():

@@ -1,12 +1,14 @@
-from pathlib import Path
+import urllib.error
+import urllib.request
+from importlib import resources
 
 import pytest
-import requests
 
 from anchorperms.closed_form import k3_table
 from anchorperms.core import ANCHORED, CountTable
 from anchorperms.oeis import (
     BFileParseError,
+    OeisFetchError,
     OfflineCacheMissError,
     bfile_url,
     compare,
@@ -15,7 +17,7 @@ from anchorperms.oeis import (
     serialize_bfile,
 )
 
-FIXTURE = Path(__file__).parent / "fixtures" / "A249665.txt"
+FIXTURE = resources.files("anchorperms") / "data" / "A249665.txt"
 
 
 def table(values, offset=1, k=3):
@@ -78,32 +80,57 @@ def test_fetch_uses_cache_without_network(tmp_path):
 
 def test_fetch_offline_without_cache_raises(tmp_path, monkeypatch):
     def no_network(*a, **kw):
-        raise requests.ConnectionError("no route")
+        raise urllib.error.URLError("no route")
 
-    monkeypatch.setattr(requests, "get", no_network)
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
     with pytest.raises(OfflineCacheMissError):
         fetch_terms("A000045", tmp_path)
 
 
 def test_fetch_via_local_server(tmp_path, monkeypatch):
     class FakeResponse:
-        status_code = 200
-        text = FIXTURE.read_text()
+        status = 200
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self):
+            return FIXTURE.read_bytes()
 
     calls = []
 
-    def fake_get(url, timeout):
+    def fake_urlopen(url, timeout):
         calls.append(url)
         return FakeResponse()
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     t = fetch_terms("A249665", tmp_path, base_url="http://mirror")
     assert calls == ["http://mirror/A249665/b249665.txt"]
     assert t.values() == k3_table(60)
     assert (tmp_path / "A249665.txt").exists()
     # Second call is served from cache, no network.
-    monkeypatch.setattr(requests, "get", None)
+    monkeypatch.setattr(urllib.request, "urlopen", None)
     assert fetch_terms("A249665", tmp_path).values() == k3_table(60)
+
+
+def test_fetch_maps_http_errors_and_timeouts(tmp_path, monkeypatch):
+    def not_found(url, timeout):
+        raise urllib.error.HTTPError(url, 404, "Not Found", {}, None)
+
+    monkeypatch.setattr(urllib.request, "urlopen", not_found)
+    with pytest.raises(OeisFetchError, match="HTTP 404") as e:
+        fetch_terms("A000045", tmp_path)
+    assert not isinstance(e.value, OfflineCacheMissError)
+
+    def timed_out(url, timeout):
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr(urllib.request, "urlopen", timed_out)
+    (tmp_path / "A249665.txt").write_text(FIXTURE.read_text())
+    assert fetch_terms("A249665", tmp_path, refresh=True).values() == k3_table(60)
 
 
 def test_compare_identical():

@@ -59,6 +59,14 @@ def test_term_table_stats_reports_peak():
     assert peak >= 1
 
 
+def test_term_table_stats_validates_like_term_table():
+    for table_fn in (term_table, term_table_stats):
+        with pytest.raises(ValueError):
+            table_fn(3, endpoints(1, 9), 5)
+        with pytest.raises(ValueError):
+            table_fn(3, ANCHORED, 0)
+
+
 def test_state_space_sizes_frozen():
     assert [state_space_size(k) for k in range(1, 6)] == [3, 8, 26, 95, 365]
 

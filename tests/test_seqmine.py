@@ -57,12 +57,35 @@ def test_insufficient_data_raises():
 
 
 def test_modular_presearch_path_agrees_with_plain_scan():
-    # max_order above the plain-scan threshold routes through the modular
-    # binary search; the result must be identical.
+    # A loose order bound must not change the minimal recurrence found.
     terms = k3_table(100)
     rec = find_recurrence(terms, max_order=40)
     assert rec.order == 8
     assert rec.coefficients == K3_COEFFS
+
+
+def test_coefficient_above_half_the_prime_is_lifted_exactly():
+    m = 2**62 + 3
+    rec = find_recurrence([m**n for n in range(1, 30)], max_order=5)
+    assert rec.order == 1
+    assert rec.coefficients == (m,)
+
+
+def test_terms_divisible_by_the_first_prime():
+    fib = [1, 1]
+    while len(fib) < 30:
+        fib.append(fib[-1] + fib[-2])
+    rec = find_recurrence([x * (2**61 - 1) for x in fib], max_order=5)
+    assert rec.order == 2
+    assert rec.coefficients == (1, 1)
+
+
+def test_raising_max_order_keeps_the_result():
+    # Period-10 word with one glitch at n = 20: a_n = a_{n-10} from n = 31.
+    terms = [0, -1, 1, -2, -1, -2, 0, 2, 2, 2] * 5
+    terms[19] = -1
+    results = {find_recurrence(terms, max_order=m) for m in (20, 21, 22)}
+    assert len(results) == 1
 
 
 def test_predict_extends_sequence():
