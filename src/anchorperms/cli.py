@@ -15,7 +15,7 @@ from .backtrack import brute_table, count_brute, count_brute_stats, enumerate_pe
 from .closed_form import count_k1, count_k2, count_k3, k2_table, k3_table
 from .core import ANCHORED, FREE, CountTable, Variant, endpoints
 from .oeis import OeisFetchError, serialize_bfile
-from .profile_dp import _Sweep, count_dp, state_space_size, term_table
+from .profile_dp import count_dp, state_space_size, sweep_terms, term_table
 from .seqmine import InsufficientDataError, conjecture_probe
 from .verify import SUITES
 
@@ -169,13 +169,11 @@ def cmd_bench(args) -> int:
         print("n,seconds,peak_profiles")
         if args.max_n < 1:
             return EXIT_OK
-        sweep = _Sweep(args.k, variant)
-        for n in range(1, args.max_n + 1):
-            t0 = time.perf_counter()
-            sweep.step(final_step=(n == args.max_n))
-            sweep.finished_count()
+        t0 = time.perf_counter()
+        for n, _, peak in sweep_terms(args.k, variant, args.max_n):
             dt = time.perf_counter() - t0
-            print(f"{n},{dt:.6f},{sweep.peak_states}")
+            print(f"{n},{dt:.6f},{peak}")
+            t0 = time.perf_counter()
     else:
         print("n,seconds,nodes")
         for n in range(1, args.max_n + 1):

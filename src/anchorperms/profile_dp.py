@@ -11,11 +11,16 @@ window.
 
 Profiles for a fixed k form a finite set, which is what makes the
 generating function provably rational for every k via the transfer-matrix
-method; this module is the numerical engine behind that observation.
+method. The engine compiles that matrix lazily: a profile gets an integer
+id when first reached; its successor ids and whether it finishes a path are
+computed once, and a step is ``nxt[dst] += cur[src]`` over those edges. No
+edge needs a multiplicity: the new value's degree and the degrees left in
+the window determine which open ends it attached to.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator
 
 from .core import ANCHORED, CountTable, Variant, norm_k
@@ -27,6 +32,10 @@ from .core import ANCHORED, CountTable, Variant, norm_k
 Slot = tuple[int, int]
 Profile = tuple[tuple[Slot, ...], int]
 
+_START: Profile = ((), 0)
+_SATURATED: Slot = (2, 0)
+_OPEN_SLOTS: dict[Slot, Slot] = {}  # interned, so stored profiles share slots
+
 
 def canonicalize(slots: tuple[Slot, ...]) -> tuple[Slot, ...]:
     """Renumber segment labels in first-occurrence order."""
@@ -34,11 +43,12 @@ def canonicalize(slots: tuple[Slot, ...]) -> tuple[Slot, ...]:
     out = []
     for deg, lab in slots:
         if deg == 2:
-            out.append((2, 0))
+            out.append(_SATURATED)
         else:
             if lab not in mapping:
                 mapping[lab] = len(mapping) + 1
-            out.append((deg, mapping[lab]))
+            slot = (deg, mapping[lab])
+            out.append(_OPEN_SLOTS.setdefault(slot, slot))
     return tuple(out)
 
 
@@ -58,149 +68,148 @@ def _attach_choices(slots: tuple[Slot, ...]) -> Iterator[tuple[int, ...]]:
     yield ()
     for i in open_idx:
         yield (i,)
-    for a in range(len(open_idx)):
-        for b in range(a + 1, len(open_idx)):
-            i, j = open_idx[a], open_idx[b]
+    for a, i in enumerate(open_idx):
+        for j in open_idx[a + 1 :]:
             if slots[i][1] != slots[j][1]:
                 yield (i, j)
 
 
-def _apply_attach(
-    slots: tuple[Slot, ...], choice: tuple[int, ...], fresh: int
-) -> tuple[Slot, ...]:
+def _apply_attach(slots: tuple[Slot, ...], choice: tuple[int, ...]) -> list[Slot]:
     """Attach the new value to the chosen open ends and append its slot."""
     work = list(slots)
     if len(choice) == 0:
-        new_slot = (0, fresh)
+        new_slot = (0, 0)  # open ends carry labels >= 1, so 0 is a fresh segment
     elif len(choice) == 1:
         i = choice[0]
         deg, lab = work[i]
-        work[i] = (1, lab) if deg == 0 else (2, 0)
+        work[i] = (1, lab) if deg == 0 else _SATURATED
         new_slot = (1, lab)
     else:
         i, j = choice
-        lab_i = work[i][1]
-        lab_j = work[j][1]
+        lab_i, lab_j = work[i][1], work[j][1]
         for t, (deg, lab) in enumerate(work):
             if deg < 2 and lab == lab_j:
                 work[t] = (deg, lab_i)
         for t in (i, j):
             deg, lab = work[t]
-            work[t] = (1, lab) if deg == 0 else (2, 0)
-        new_slot = (2, 0)
+            work[t] = (1, lab) if deg == 0 else _SATURATED
+        new_slot = _SATURATED
     work.append(new_slot)
-    return tuple(work)
+    return work
 
 
 def _open_ends(slots: tuple[Slot, ...]) -> int:
     return sum(2 - deg for deg, _ in slots if deg < 2)
 
 
-class _Sweep:
-    """One incremental DP sweep over values 1..n for fixed k and variant."""
+def _successors(profile: Profile, k: int, pinned: bool, free: bool) -> Iterator[Profile]:
+    """Profiles reached by placing the next value, one per attachment.
+    When the window is full its oldest value leaves: it must end the path
+    if `pinned`, else be interior; in the free variant either is fine."""
+    slots, closed = profile
+    if closed == 2 and not _open_ends(slots):
+        return  # a complete path: any further value would stay isolated
+    leaving = len(slots) == k
+    for choice in _attach_choices(slots):
+        new_closed = closed
+        if leaving:
+            deg = slots[0][0] + (0 in choice)  # the leaving value's degree
+            if deg == 0:
+                continue  # isolated value can never rejoin the path
+            if deg == 2 and pinned and not free:
+                continue  # pinned endpoint became interior
+            if deg == 1 and (not pinned or closed == 2):
+                continue
+        new = _apply_attach(slots, choice)
+        if leaving:
+            (_, lab), new = new[0], new[1:]
+            if deg == 1:
+                new_closed += 1
+                if all(l != lab for d, l in new if d < 2) and any(d < 2 for d, _ in new):
+                    continue  # path sealed while another segment is still open
+        yield canonicalize(new), new_closed
 
-    def __init__(self, k: int, variant: Variant):
+
+def _finishes(profile: Profile, designated: int | None) -> bool:
+    """Whether the profile is one complete path if its newest value is n;
+    `designated` masks the window slots of pinned endpoints (None: free)."""
+    slots, closed = profile
+    return closed + _open_ends(slots) == 2 and all(
+        deg and (designated is None or (deg < 2) == (designated >> idx & 1))
+        for idx, (deg, _) in enumerate(slots)
+    )
+
+
+class _Graph:
+    """The transfer matrix for fixed k, compiled lazily: profiles indexed
+    in first-reached order, each edge list and finish flag computed once."""
+
+    def __init__(self, k: int, free: bool):
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.k = k
-        self.variant = variant
-        self.v = 0
-        self.states: dict[Profile, int] = {((), 0): 1}
-        self.peak_states = 1
+        self.k, self.free = k, free
+        self.ids: dict[Profile, int] = {}
+        self.profiles: list[Profile] = []
+        self._edges: dict[int, array] = {}  # pid * 2 + pinned -> successor ids
+        self._finish: dict[int | None, bytearray] = {}  # 0 unknown, 1 no, 2 yes
 
-    def step(self, final_step: bool) -> None:
-        """Process the next value."""
-        self.v += 1
-        v = self.v
-        k = self.k
-        variant = self.variant
-        exiting = v - k  # value leaving the window, if positive
-        nxt: dict[Profile, int] = {}
-        for (slots, closed), cnt in self.states.items():
-            for choice in _attach_choices(slots):
-                new_slots = _apply_attach(slots, choice, fresh=10 ** 6)
-                new_closed = closed
-                if len(new_slots) > k:
-                    deg, lab = new_slots[0]
-                    u = exiting
-                    # For anchored, only value 1 may leave the window as a
-                    # path endpoint (value n never leaves). For endpoints,
-                    # either pinned value may; for free, any value.
-                    if variant.kind == "anchored":
-                        is_endpoint_value = u == 1
-                    elif variant.kind == "endpoints":
-                        is_endpoint_value = u in (variant.start, variant.end)
-                    else:
-                        is_endpoint_value = True
-                    if deg == 2:
-                        if variant.kind != "free" and is_endpoint_value:
-                            continue  # pinned endpoint became interior
-                        new_slots = new_slots[1:]
-                    elif deg == 1:
-                        if not is_endpoint_value or closed >= 2:
-                            continue
-                        new_closed = closed + 1
-                        rest = new_slots[1:]
-                        if not final_step and all(
-                            l != lab for d, l in rest if d < 2
-                        ):
-                            continue  # segment sealed with values still to place
-                        new_slots = rest
-                    else:
-                        continue  # isolated value can never rejoin the path
-                key = (canonicalize(new_slots), new_closed)
-                nxt[key] = nxt.get(key, 0) + cnt
-        self.states = nxt
-        self.peak_states = max(self.peak_states, len(nxt))
+    def index(self, profile: Profile) -> int:
+        pid = self.ids.get(profile)
+        if pid is None:
+            pid = self.ids[profile] = len(self.profiles)
+            self.profiles.append(profile)
+        return pid
 
-    def finished_count(self) -> int:
-        """Count of complete paths if the value just processed were n."""
-        n = self.v
-        variant = self.variant
-        if n == 1:
-            # Single vertex: every variant admits exactly the trivial
-            # permutation (endpoint ranges were validated upstream).
-            return sum(
-                cnt
-                for (slots, closed), cnt in self.states.items()
-                if len(slots) == 1 and closed == 0
-            )
-        designated = set(_designated(variant, n))
-        total = 0
-        for (slots, closed), cnt in self.states.items():
-            if closed + _open_ends(slots) != 2:
-                continue
-            lo = n - len(slots) + 1
-            ok = True
-            for idx, (deg, _) in enumerate(slots):
-                u = lo + idx
-                if deg < 2:
-                    if deg == 0:
-                        ok = False
-                        break
-                    if variant.kind != "free" and u not in designated:
-                        ok = False
-                        break
-                elif variant.kind != "free" and u in designated:
-                    ok = False
-                    break
-            if ok:
-                total += cnt
-        if variant.kind == "free":
-            total *= 2  # undirected path traversed in either direction
-        return total
+    def edges(self, pid: int, pinned: bool) -> array:
+        key = pid * 2 + pinned
+        out = self._edges.get(key)
+        if out is None:
+            successors = _successors(self.profiles[pid], self.k, pinned, self.free)
+            out = self._edges[key] = array("I", map(self.index, successors))
+        return out
+
+    def step(self, cur: dict[int, int], pinned: bool) -> dict[int, int]:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for src, cnt in cur.items():
+            for dst in self.edges(src, pinned):
+                nxt[dst] = get(dst, 0) + cnt
+        return nxt
+
+    def finished(self, cur: dict[int, int], designated: int | None) -> int:
+        flags = self._finish.setdefault(designated, bytearray())
+        flags.extend(bytes(len(self.profiles) - len(flags)))
+        for pid in cur:
+            if not flags[pid]:
+                flags[pid] = 1 + _finishes(self.profiles[pid], designated)
+        return sum(cnt for pid, cnt in cur.items() if flags[pid] == 2)
+
+
+def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, count, peak) for n = 1..max_n from one incremental sweep;
+    peak is the largest number of simultaneous profiles so far."""
+    kk = norm_k(k)
+    if max_n < 1:
+        raise ValueError("n must be >= 1")
+    variant.check_range(max_n)
+    free = variant.kind == "free"
+    graph = _Graph(kk, free)
+    cur = {graph.index(_START): 1}
+    peak = 1
+    for n in range(1, max_n + 1):
+        cur = graph.step(cur, free or n - kk in _designated(variant, n))
+        peak = max(peak, len(cur))
+        lo = max(1, n - kk + 1)  # the value in the window's first slot
+        mask = None if free else sum(1 << (u - lo) for u in _designated(variant, n) if u >= lo)
+        # A single vertex is the trivial permutation in every variant (endpoint
+        # ranges were validated upstream); a free path counts once per direction.
+        count = 1 if n == 1 else graph.finished(cur, mask) * (2 if free else 1)
+        yield n, count, peak
 
 
 def count_dp(k, n: int, variant: Variant = ANCHORED) -> int:
     """Exact count of k-bounded permutations under the variant."""
-    kk = norm_k(k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    variant.check_range(n)
-    sweep = _Sweep(kk, variant)
-    for v in range(1, n + 1):
-        sweep.step(final_step=(v == n))
-    return sweep.finished_count()
+    return list(sweep_terms(k, variant, n))[-1][1]
 
 
 def term_table(k, variant: Variant = ANCHORED, max_n: int = 1) -> CountTable:
@@ -210,34 +219,25 @@ def term_table(k, variant: Variant = ANCHORED, max_n: int = 1) -> CountTable:
 
 def term_table_stats(k, variant: Variant, max_n: int) -> tuple[CountTable, int]:
     """term_table plus the peak number of simultaneous profiles."""
-    kk = norm_k(k)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    variant.check_range(max_n)
-    sweep = _Sweep(kk, variant)
     terms = {}
-    for v in range(1, max_n + 1):
-        sweep.step(final_step=(v == max_n))
-        terms[v] = sweep.finished_count()
-    table = CountTable(k=kk, variant=variant, terms=terms, provenance="dp")
-    return table, sweep.peak_states
+    for n, count, peak in sweep_terms(k, variant, max_n):
+        terms[n] = count
+    return CountTable(k=norm_k(k), variant=variant, terms=terms, provenance="dp"), peak
 
 
-def state_space_size(k, max_steps: int = 2000) -> int:
+def state_space_size(k) -> int:
     """Number of distinct reachable canonical profiles under the anchored
-    variant. Runs the sweep until the per-step profile set revisits a
-    previously seen set (the steady transition map is step-independent
-    once the window is full), then reports the union's size."""
+    variant: the size of the compiled graph's reachable closure."""
     kk = norm_k(k)
-    sweep = _Sweep(kk, ANCHORED)
-    seen: set[Profile] = set(sweep.states)
-    step_sets: set[frozenset[Profile]] = set()
-    for v in range(1, max_steps + 1):
-        sweep.step(final_step=False)
-        seen.update(sweep.states)
-        if v > kk + 1:
-            fs = frozenset(sweep.states)
-            if fs in step_sets:
-                return len(seen)
-            step_sets.add(fs)
-    raise RuntimeError(f"profile set did not stabilize within {max_steps} steps")
+    graph = _Graph(kk, free=False)
+    cur = {graph.index(_START): 1}
+    for v in range(1, kk + 2):
+        cur = graph.step(cur, v - kk == 1)
+    # Value 1 has left the window; no later leaving value is pinned, so all
+    # later steps follow the same edges. Every id assigned is reachable.
+    seen, todo = set(cur), list(cur)
+    while todo:
+        new = set(graph.edges(todo.pop(), False)) - seen
+        seen |= new
+        todo += new
+    return len(graph.profiles)

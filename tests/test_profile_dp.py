@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anchorperms.backtrack import count_brute
-from anchorperms.closed_form import count_k2, k3_table
+from anchorperms.closed_form import count_k1, count_k2, count_k3, k3_table
 from anchorperms.core import ANCHORED, FREE, endpoints
 from anchorperms.profile_dp import (
     count_dp,
@@ -26,6 +28,46 @@ def test_dp_matches_brute_force_endpoints():
                     continue
                 v = endpoints(s, e)
                 assert count_dp(3, n, v) == count_brute(3, n, v)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_term_table_matches_pointwise_and_brute_every_variant(k):
+    # A free or endpoints path can be complete before the sweep ends (its
+    # second end leaves the window as the last value is placed): every
+    # entry must count it, not only the last.
+    max_n = 9
+    variants = [ANCHORED, FREE] + [
+        endpoints(s, e) for s in range(1, max_n + 1) for e in range(1, max_n + 1) if s != e
+    ]
+    for variant in variants:
+        table = term_table(k, variant, max_n)
+        first = max(variant.start, variant.end) if variant.kind == "endpoints" else 1
+        for n in range(first, max_n + 1):
+            assert table[n] == count_dp(k, n, variant) == count_brute(k, n, variant), (variant, n)
+
+
+@st.composite
+def dp_cases(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    kinds = ["anchored", "free"] + (["endpoints"] if n >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "endpoints":
+        s, e = draw(st.permutations(range(1, n + 1)))[:2]
+        variant = endpoints(s, e)
+    else:
+        variant = ANCHORED if kind == "anchored" else FREE
+    return k, n, variant, draw(st.integers(n, 8))
+
+
+@given(dp_cases())
+def test_dp_brute_and_table_agree_on_random_cases(case):
+    k, n, variant, max_n = case
+    dp = count_dp(k, n, variant)
+    assert dp == count_brute(k, n, variant)
+    assert term_table(k, variant, max_n)[n] == dp
+    if variant == ANCHORED and k <= 3:
+        assert dp == (count_k1, count_k2, count_k3)[k - 1](n)
 
 
 def test_dp_matches_closed_forms_deep():
