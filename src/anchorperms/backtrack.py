@@ -28,21 +28,33 @@ def _first_candidates(n: int, variant: Variant) -> list[int]:
     return list(range(1, n + 1))
 
 
-def _reachable(prefix: list[int], used: list[bool], k: int, n: int) -> bool:
-    """Cheap feasibility check: the minimum unused value must still be
-    reachable, either directly from the last entry or via some unused
-    value within k above it."""
-    m = None
-    for v in range(1, n + 1):
-        if not used[v]:
-            m = v
-            break
-    if m is None:
+def _final(n: int, variant: Variant) -> int | None:
+    """The pinned last value, or None for the free variant."""
+    if variant.kind == "anchored":
+        return n
+    if variant.kind == "endpoints":
+        return variant.end
+    return None
+
+
+def _feasible(a: int, free: int, k: int) -> bool:
+    """Cheap pruning test after placing a, with `free` the bit mask of the
+    unused values (bit v for value v): the lowest unused value must still be
+    reachable, either directly from a or via some unused value within k
+    above it."""
+    if not free:
         return True
-    a = prefix[-1]
-    if abs(a - m) <= k:
-        return True
-    return any(not used[v] for v in range(m + 1, min(n, m + k) + 1))
+    m = (free & -free).bit_length() - 1
+    return abs(a - m) <= k or bool(free >> (m + 1) & ((1 << k) - 1))
+
+
+def _check_args(k, n: int, variant: Variant) -> int:
+    """Validate the arguments of a search; the gap bound as a plain int."""
+    kk = norm_k(k)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    variant.check_range(n)
+    return kk
 
 
 def enumerate_perms(
@@ -51,105 +63,78 @@ def enumerate_perms(
     """Yield every k-bounded permutation under the variant, in lexicographic
     order, each exactly once. Pruning is behavior-invisible; disable it only
     for differential testing."""
-    kk = norm_k(k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    variant.check_range(n)
-
-    final = None
-    if variant.kind == "anchored":
-        final = n
-    elif variant.kind == "endpoints":
-        final = variant.end
-
-    used = [False] * (n + 1)
+    kk = _check_args(k, n, variant)
+    final = _final(n, variant)
     prefix: list[int] = []
 
-    def extend() -> Iterator[Permutation]:
-        if len(prefix) == n:
+    def extend(free: int) -> Iterator[Permutation]:
+        if not free:
             yield Permutation(tuple(prefix))
             return
         a = prefix[-1]
         last_pos = len(prefix) == n - 1
         for v in range(max(1, a - kk), min(n, a + kk) + 1):
-            if used[v]:
+            bit = 1 << v
+            if not free & bit:
                 continue
             if final is not None:
                 if last_pos and v != final:
                     continue
                 if not last_pos and v == final and prune:
                     continue
-            used[v] = True
             prefix.append(v)
-            if not prune or _reachable(prefix, used, kk, n):
-                yield from extend()
+            if not prune or _feasible(v, free ^ bit, kk):
+                yield from extend(free ^ bit)
             prefix.pop()
-            used[v] = False
 
+    everything = (1 << (n + 1)) - 2
     for first in _first_candidates(n, variant):
-        if not 1 <= first <= n:
-            continue
-        used[first] = True
         prefix.append(first)
-        yield from extend()
+        yield from extend(everything ^ (1 << first))
         prefix.pop()
-        used[first] = False
 
 
-def count_brute(k, n: int, variant: Variant = ANCHORED, *, prune: bool = True) -> int:
-    """Number of k-bounded permutations under the variant; streams the
-    search rather than materializing the permutations."""
-    return sum(1 for _ in enumerate_perms(k, n, variant, prune=prune))
+def count_brute(k, n: int, variant: Variant = ANCHORED) -> int:
+    """Number of k-bounded permutations under the variant."""
+    return count_brute_stats(k, n, variant)[0]
 
 
 def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]:
-    """(count, nodes): search-tree node count for benchmarking."""
-    kk = norm_k(k)
-    variant.check_range(n)
-    final = None
-    if variant.kind == "anchored":
-        final = n
-    elif variant.kind == "endpoints":
-        final = variant.end
-
-    used = [False] * (n + 1)
-    prefix: list[int] = []
+    """(count, nodes): the pruned search of `enumerate_perms`, counting its
+    leaves and its tree nodes without building any permutation."""
+    kk = _check_args(k, n, variant)
+    final = _final(n, variant)
+    # (v, bit of v) for the values within k of a; the pinned last value is
+    # never placed before the last position.
+    nbrs = [
+        [(v, 1 << v) for v in range(max(1, a - kk), min(n, a + kk) + 1) if v != final]
+        for a in range(n + 1)
+    ]
     nodes = 0
 
-    def count() -> int:
+    def count(a: int, free: int, left: int) -> int:
+        """Completions of a prefix that ends in a and leaves `left` >= 1
+        positions, and the values in `free`, to fill."""
         nonlocal nodes
-        if len(prefix) == n:
-            return 1
+        if left == 1:
+            # One value is left (the pinned end, if any): close directly.
+            if abs(a - (free.bit_length() - 1)) <= kk:
+                nodes += 1
+                return 1
+            return 0
         total = 0
-        a = prefix[-1]
-        last_pos = len(prefix) == n - 1
-        for v in range(max(1, a - kk), min(n, a + kk) + 1):
-            if used[v]:
-                continue
-            if final is not None:
-                if last_pos and v != final:
-                    continue
-                if not last_pos and v == final:
-                    continue
-            used[v] = True
-            prefix.append(v)
-            nodes += 1
-            if _reachable(prefix, used, kk, n):
-                total += count()
-            prefix.pop()
-            used[v] = False
+        for v, bit in nbrs[a]:
+            if free & bit:
+                nodes += 1
+                if _feasible(v, free ^ bit, kk):
+                    total += count(v, free ^ bit, left - 1)
         return total
 
+    everything = (1 << (n + 1)) - 2
     total = 0
     for first in _first_candidates(n, variant):
-        if not 1 <= first <= n:
-            continue
-        used[first] = True
-        prefix.append(first)
         nodes += 1
-        total += count()
-        prefix.pop()
-        used[first] = False
+        total += count(first, everything ^ (1 << first), n - 1) if n > 1 else 1
     return total, nodes
 
 

@@ -201,9 +201,12 @@ def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int
         peak = max(peak, len(cur))
         lo = max(1, n - kk + 1)  # the value in the window's first slot
         mask = None if free else sum(1 << (u - lo) for u in _designated(variant, n) if u >= lo)
-        # A single vertex is the trivial permutation in every variant (endpoint
-        # ranges were validated upstream); a free path counts once per direction.
-        count = 1 if n == 1 else graph.finished(cur, mask) * (2 if free else 1)
+        # A single vertex is the trivial permutation, which qualifies only if
+        # every pinned value is 1; a free path counts once per direction.
+        if n == 1:
+            count = int(all(u == 1 for u in _designated(variant, n)))
+        else:
+            count = graph.finished(cur, mask) * (2 if free else 1)
         yield n, count, peak
 
 

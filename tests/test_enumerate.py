@@ -106,6 +106,25 @@ def test_brute_table_and_stats():
     assert nodes >= count
 
 
+@pytest.mark.parametrize(
+    ("args", "expected"),
+    [
+        ((3, 8, ANCHORED), (56, 408)),
+        ((4, 9, FREE), (15860, 72550)),
+        ((3, 9, endpoints(3, 9)), (57, 647)),
+        ((6, 10, ANCHORED), (16800, 80734)),
+        ((3, 13, ANCHORED), (2401, 33794)),
+    ],
+)
+def test_count_brute_stats_frozen_search_tree(args, expected):
+    # Frozen (count, nodes) of the pruned search: a changed node count
+    # means a changed search tree.
+    assert count_brute_stats(*args) == expected
+    assert count_brute(*args) == expected[0]
+
+
 def test_invalid_n_rejected():
     with pytest.raises(ValueError):
         list(enumerate_perms(2, 0, ANCHORED))
+    with pytest.raises(ValueError):
+        count_brute(2, 0, ANCHORED)

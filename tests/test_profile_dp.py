@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorperms.backtrack import count_brute
+from anchorperms.backtrack import count_brute, enumerate_perms
 from anchorperms.closed_form import count_k1, count_k2, count_k3, k3_table
 from anchorperms.core import ANCHORED, FREE, endpoints
 from anchorperms.profile_dp import (
@@ -46,6 +46,19 @@ def test_term_table_matches_pointwise_and_brute_every_variant(k):
             assert table[n] == count_dp(k, n, variant) == count_brute(k, n, variant), (variant, n)
 
 
+def test_term_table_is_zero_below_the_pinned_values():
+    # No permutation of [n] starts at s and ends at e when max(s, e) > n;
+    # that includes n = 1, the single-vertex path.
+    assert term_table(3, endpoints(1, 2), 6).values() == [0, 1, 1, 2, 4, 8]
+    for s in range(1, 6):
+        for e in range(1, 6):
+            if s != e:
+                table = term_table(3, endpoints(s, e), 5)
+                assert all(table[n] == 0 for n in range(1, max(s, e))), (s, e)
+    assert term_table(3, endpoints(1, 1), 1).values() == [1]
+    assert term_table(3, ANCHORED, 1).values() == term_table(3, FREE, 1).values() == [1]
+
+
 @st.composite
 def dp_cases(draw):
     k = draw(st.integers(1, 5))
@@ -60,11 +73,17 @@ def dp_cases(draw):
     return k, n, variant, draw(st.integers(n, 8))
 
 
+# No per-example deadline: streaming the largest draws through
+# enumerate_perms (k = 5, n = 8, free: 15 600 permutations) takes longer
+# than hypothesis's default 200 ms.
+@settings(deadline=None)
 @given(dp_cases())
 def test_dp_brute_and_table_agree_on_random_cases(case):
     k, n, variant, max_n = case
     dp = count_dp(k, n, variant)
-    assert dp == count_brute(k, n, variant)
+    brute = count_brute(k, n, variant)
+    assert dp == brute
+    assert brute == sum(1 for _ in enumerate_perms(k, n, variant))
     assert term_table(k, variant, max_n)[n] == dp
     if variant == ANCHORED and k <= 3:
         assert dp == (count_k1, count_k2, count_k3)[k - 1](n)
