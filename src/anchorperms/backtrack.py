@@ -138,18 +138,6 @@ def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]
     return total, nodes
 
 
-def _count_endpoint(k: int, n: int, start: int, end: int) -> int:
-    """count_brute for a fixed start/end pair, 0 when the pair is infeasible
-    for this n (out of range or coincident with n > 1)."""
-    if not (1 <= start <= n and 1 <= end <= n):
-        return 0
-    if n > 1 and start == end:
-        return 0
-    if n == 1:
-        return 1
-    return count_brute(k, n, endpoints(start, end))
-
-
 def count_classes_fgh(n: int) -> tuple[int, int, int]:
     """Brute-force (F, G, H) for k = 3.
 
@@ -159,10 +147,9 @@ def count_classes_fgh(n: int) -> tuple[int, int, int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     f = count_brute(3, n, ANCHORED)
-    g = _count_endpoint(3, n, 1, n) + _count_endpoint(3, n, 2, n)
-    if not (1 <= 3 <= n) or (n > 1 and 3 == n) or n == 1:
-        h = 0
-    else:
+    g = f + count_brute(3, n, endpoints(2, n)) if n >= 3 else f
+    h = 0
+    if n > 3:
         h = sum(
             1
             for p in enumerate_perms(3, n, endpoints(3, n))
@@ -173,5 +160,7 @@ def count_classes_fgh(n: int) -> tuple[int, int, int]:
 
 def brute_table(k, max_n: int, variant: Variant = ANCHORED) -> CountTable:
     kk = norm_k(k)
+    if max_n < 1:
+        raise ValueError("n must be >= 1")
     terms = {n: count_brute(kk, n, variant) for n in range(1, max_n + 1)}
     return CountTable(k=kk, variant=variant, terms=terms, provenance="brute")

@@ -12,7 +12,7 @@ import sys
 import time
 
 from .backtrack import brute_table, count_brute, count_brute_stats, enumerate_perms
-from .closed_form import count_k1, count_k2, count_k3, k2_table, k3_table
+from .closed_form import closed_table
 from .core import ANCHORED, FREE, CountTable, Variant, endpoints
 from .oeis import OeisFetchError, serialize_bfile
 from .profile_dp import count_dp, state_space_size, sweep_terms, term_table
@@ -43,19 +43,13 @@ def parse_variant(text: str) -> Variant:
     raise UsageError(f"unknown variant {text!r}")
 
 
-def _closed_count(k: int, n: int, variant: Variant) -> int:
-    if variant.kind != "anchored" or k > 3:
-        raise UsageError("closed-form counting covers anchored k <= 3 only")
-    return {1: count_k1, 2: count_k2, 3: count_k3}[k](n)
-
-
 def cmd_count(args) -> int:
     variant = parse_variant(args.variant)
     method = args.method
     if method == "auto":
         method = "closed" if (args.k <= 3 and variant.kind == "anchored") else "dp"
     if method == "closed":
-        value = _closed_count(args.k, args.n, variant)
+        value = _make_table(args.k, variant, args.n, "closed")[args.n]
     elif method == "dp":
         value = count_dp(args.k, args.n, variant)
     else:
@@ -77,15 +71,9 @@ def cmd_enumerate(args) -> int:
 
 def _make_table(k: int, variant: Variant, max_n: int, method: str) -> CountTable:
     if method == "closed":
-        if variant.kind != "anchored" or k > 3:
-            raise UsageError("closed-form tables cover anchored k <= 3 only")
-        vals = {1: lambda m: [1] * m, 2: k2_table, 3: k3_table}[k](max_n)
-        return CountTable(
-            k=k,
-            variant=variant,
-            terms={n: v for n, v in enumerate(vals, start=1)},
-            provenance="closed-form",
-        )
+        if variant.kind != "anchored":
+            raise UsageError("closed-form counting covers anchored k <= 3 only")
+        return closed_table(k, max_n)
     if method == "brute":
         return brute_table(k, max_n, variant)
     return term_table(k, variant, max_n)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .core import ANCHORED, FREE, CountTable
+from .core import ANCHORED, FREE, CountTable, Variant
 from .polys import coprime_mod_p, poly_divmod, poly_gcd, trim
 
 
@@ -82,47 +83,61 @@ class RationalGF:
         return RationalGF(tuple(int(x) for x in num), tuple(int(x) for x in den))
 
 
-def count_k1(n: int) -> int:
-    """Only the identity is 1-bounded and anchored."""
-    if n < 1:
+def extend_recurrence(seed: Sequence[int], coefficients: Sequence[int], max_n: int) -> list[int]:
+    """The first max_n terms of the sequence that starts with `seed` and
+    continues by a_n = sum_j c_j * a_{n-j}; [] when max_n < 1."""
+    seq = list(seed[: max(max_n, 0)])
+    while len(seq) < max_n:
+        seq.append(sum(c * seq[-j] for j, c in enumerate(coefficients, start=1)))
+    return seq
+
+
+def _table(k: int, variant: Variant, vals: list[int]) -> CountTable:
+    return CountTable(
+        k=k, variant=variant, terms=dict(enumerate(vals, start=1)), provenance="closed-form"
+    )
+
+
+K2_INITIAL = (1, 1, 1)
+K2_COEFFS = (1, 0, 1)
+K3_INITIAL = (1, 1, 1, 2, 6, 14, 28, 56)
+K3_COEFFS = (2, -1, 2, 1, 1, 0, -1, -1)
+# (seed, coefficients) of the anchored counts for k = 1, 2, 3; only the
+# identity is 1-bounded and anchored.
+_ANCHORED_RECURRENCES = (((1,), (1,)), (K2_INITIAL, K2_COEFFS), (K3_INITIAL, K3_COEFFS))
+
+
+def closed_table(k: int, max_n: int) -> CountTable:
+    """Anchored counts for n = 1..max_n from the proven recurrence for k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > 3:
+        raise ValueError("closed-form counting covers anchored k <= 3 only")
+    if max_n < 1:
         raise ValueError("n must be >= 1")
-    return 1
+    return _table(k, ANCHORED, extend_recurrence(*_ANCHORED_RECURRENCES[k - 1], max_n))
+
+
+def count_k1(n: int) -> int:
+    return closed_table(1, n)[n]
 
 
 def k2_table(max_n: int) -> list[int]:
     """R_1..R_max_n with R_n = R_{n-1} + R_{n-3}."""
-    r = []
-    for n in range(1, max_n + 1):
-        if n <= 3:
-            r.append(1)
-        else:
-            r.append(r[-1] + r[-3])
-    return r
+    return extend_recurrence(K2_INITIAL, K2_COEFFS, max_n)
 
 
 def count_k2(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return k2_table(n)[-1]
-
-
-K3_INITIAL = (1, 1, 1, 2, 6, 14, 28, 56)
-K3_COEFFS = (2, -1, 2, 1, 1, 0, -1, -1)
+    return closed_table(2, n)[n]
 
 
 def k3_table(max_n: int) -> list[int]:
     """F_1..F_max_n using the depth-8 recurrence beyond the seed block."""
-    f = list(K3_INITIAL[:max_n])
-    while len(f) < max_n:
-        n = len(f) + 1
-        f.append(sum(c * f[n - 1 - j] for j, c in enumerate(K3_COEFFS, start=1)))
-    return f
+    return extend_recurrence(K3_INITIAL, K3_COEFFS, max_n)
 
 
 def count_k3(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return k3_table(n)[-1]
+    return closed_table(3, n)[n]
 
 
 # Class seeds for the coupled F/G/H system, n = 1..5. Validated against
@@ -164,15 +179,7 @@ def fgh_table(max_n: int) -> tuple[CountTable, CountTable, CountTable]:
         )
         h.append(hn)
 
-    def table(vals, variant):
-        return CountTable(
-            k=3,
-            variant=variant,
-            terms={i + 1: v for i, v in enumerate(vals)},
-            provenance="closed-form",
-        )
-
-    return table(f, ANCHORED), table(g, FREE), table(h, FREE)
+    return _table(3, ANCHORED, f), _table(3, FREE, g), _table(3, FREE, h)
 
 
 def fg_two_term_table(max_n: int) -> tuple[CountTable, CountTable]:
@@ -205,15 +212,7 @@ def fg_two_term_table(max_n: int) -> tuple[CountTable, CountTable]:
         )
         g.append(gn)
 
-    def table(vals, variant):
-        return CountTable(
-            k=3,
-            variant=variant,
-            terms={i + 1: v for i, v in enumerate(vals)},
-            provenance="closed-form",
-        )
-
-    return table(f, ANCHORED), table(g, FREE)
+    return _table(3, ANCHORED, f), _table(3, FREE, g)
 
 
 def h_eliminated(n: int) -> int:

@@ -137,9 +137,6 @@ class CountTable:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def max_index(self) -> int:
-        return max(self.terms) if self.terms else self.offset - 1
-
     def values(self) -> list[int]:
         """Terms in index order."""
         return [self.terms[i] for i in sorted(self.terms)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import ANCHORED
-from .closed_form import RationalGF, Recurrence
+from .closed_form import RationalGF, Recurrence, extend_recurrence
 from .polys import poly_mul, trim
 from .profile_dp import state_space_size, term_table
 
@@ -95,10 +95,7 @@ def predict(rec: Recurrence, seed: Sequence[int], count: int) -> list[int]:
     """Extend the sequence by `count` terms using the recurrence."""
     if len(seed) < rec.order:
         raise ValueError("seed shorter than recurrence order")
-    seq = list(seed)
-    for _ in range(count):
-        seq.append(sum(c * seq[-j] for j, c in enumerate(rec.coefficients, start=1)))
-    return seq[len(seed):]
+    return extend_recurrence(seed, rec.coefficients, len(seed) + count)[len(seed):]
 
 
 def to_gf(rec: Recurrence, terms: Sequence[int]) -> RationalGF:

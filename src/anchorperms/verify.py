@@ -14,9 +14,10 @@ from . import oeis as oeis_mod
 from .backtrack import count_brute, count_classes_fgh, enumerate_perms
 from .closed_form import (
     K3_COEFFS,
+    closed_table,
     count_k2,
-    count_k3,
     expand_gf,
+    extend_recurrence,
     fg_two_term_table,
     fgh_table,
     gf_k2,
@@ -144,13 +145,13 @@ def suite_recurrences(max_n: int = 16) -> list[Check]:
     checks.append(
         (f"k=3 brute equals recurrence for n <= {n3}", brute3 == k3_table(n3))
     )
-    f = k3_table(max(n3, 13))
-    eq2_ok = all(
-        f[n - 1]
-        == sum(c * (f[n - 1 - j] if n - j >= 1 else 0) for j, c in enumerate(K3_COEFFS, 1))
-        for n in range(8, 14)
+    # With a_0 = 0 prepended the relation already holds from n = 8.
+    checks.append(
+        (
+            f"k=3 depth-8 recurrence holds for 8 <= n <= {n3}",
+            extend_recurrence((0, *brute3[:7]), K3_COEFFS, n3 + 1)[1:] == brute3,
+        )
     )
-    checks.append(("k=3 depth-8 recurrence holds for 8 <= n <= 13", eq2_ok))
     big = max(max_n, 20)
     ft, _, ht = fgh_table(big)
     f2t, _ = fg_two_term_table(big)
@@ -195,15 +196,7 @@ def suite_oeis(max_n: int = 60) -> list[Check]:
     """Raises OfflineCacheMissError when neither cache nor network is
     available; the CLI maps that to the environment-error exit code."""
     table = oeis_mod.fetch_terms("A249665", default_oeis_cache_dir())
-    from .core import CountTable
-
-    ours = CountTable(
-        k=3,
-        variant=ANCHORED,
-        terms={n: v for n, v in enumerate(k3_table(max_n), start=1)},
-        provenance="closed-form",
-    )
-    report = oeis_mod.compare(ours, table)
+    report = oeis_mod.compare(closed_table(3, max_n), table)
     return [
         (
             f"A249665 fully matches the k=3 anchored table at shift "

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from anchorperms.backtrack import count_brute, count_classes_fgh, enumerate_perms
+from anchorperms.backtrack import count_brute
 from anchorperms.cli import main
 from anchorperms.closed_form import (
     K3_COEFFS,
@@ -28,8 +28,13 @@ from anchorperms.core import ANCHORED
 from anchorperms.oeis import compare, parse_bfile
 from anchorperms.profile_dp import count_dp, term_table
 from anchorperms.seqmine import conjecture_probe, find_recurrence, to_gf
-from anchorperms.structure import decompose_k2, reconstruct_k2, validate_lemma33
-from anchorperms.verify import _count_spaced_subsets, default_oeis_cache_dir
+from anchorperms.verify import (
+    default_oeis_cache_dir,
+    suite_fgh,
+    suite_lemma2,
+    suite_lemma33,
+    suite_recurrences,
+)
 
 # Discovered once, then frozen as regression constants: minimal recurrence
 # orders found by the miner for the anchored k=4 and k=5 sequences.
@@ -42,6 +47,12 @@ def report(criterion: str, ok: bool) -> None:
     assert ok, criterion
 
 
+def report_checks(criterion: str, checks) -> None:
+    """report() over named suite checks, naming the ones that failed."""
+    failed = [name for name, ok in checks if not ok]
+    report(criterion + (f" (failed: {failed})" if failed else ""), not failed)
+
+
 def test_criterion_01_k2_three_way_agreement():
     ok = all(
         count_brute(2, n, ANCHORED) == count_k2(n) == count_dp(2, n, ANCHORED)
@@ -52,35 +63,22 @@ def test_criterion_01_k2_three_way_agreement():
 
 
 def test_criterion_02_k3_recurrence_reproduction():
-    brute = [count_brute(3, n, ANCHORED) for n in range(1, 14)]
-    ok = tuple(brute[:8]) == K3_INITIAL
-    ok = ok and all(
-        brute[n - 1]
-        == sum(
-            c * (brute[n - 1 - j] if n - j >= 1 else 0)
-            for j, c in enumerate(K3_COEFFS, start=1)
-        )
-        for n in range(9, 14)
+    # The depth-8 recurrence on brute force is the suite's check for
+    # 8 <= n <= 13.
+    checks = suite_recurrences()
+    seeds = tuple(count_brute(3, n, ANCHORED) for n in range(1, 9))
+    checks.append(("brute seeds equal K3_INITIAL", seeds == K3_INITIAL))
+    checks.append(
+        ("dp equals closed form to n=200", term_table(3, ANCHORED, 200).values() == k3_table(200))
     )
-    ok = ok and term_table(3, ANCHORED, 200).values() == k3_table(200)
-    ok = ok and count_k3(200) == k3_table(200)[-1]
-    report("criterion 2: k=3 seeds + depth-8 recurrence on brute; closed=dp to 200", ok)
+    checks.append(("count_k3(200) is the last table term", count_k3(200) == k3_table(200)[-1]))
+    report_checks("criterion 2: k=3 seeds + depth-8 recurrence on brute; closed=dp to 200", checks)
 
 
 def test_criterion_03_fgh_system():
-    vals = {n: count_classes_fgh(n) for n in range(1, 14)}
-    f = {n: v[0] for n, v in vals.items()}
-    g = {n: v[1] for n, v in vals.items()}
-    h = {n: v[2] for n, v in vals.items()}
-    ok = all(
-        f[n] == g[n - 1] + h[n - 1] + f[n - 5]
-        and g[n] == f[n] + g[n - 2] + f[n - 3] + g[n - 4] + h[n - 2]
-        and h[n] == f[n - 3] + g[n - 3] + f[n - 4] + g[n - 5] + h[n - 3]
-        and h[n] == f[n - 3] + g[n - 1] - f[n - 1]
-        for n in range(6, 14)
+    report_checks(
+        "criterion 3: F/G/H mutual recurrences + H elimination + G table", suite_fgh(13)
     )
-    ok = ok and tuple(g[n] for n in range(1, 9)) == (1, 1, 2, 4, 10, 22, 45, 93)
-    report("criterion 3: F/G/H mutual recurrences + H elimination + G table", ok)
 
 
 def test_criterion_04_generating_functions():
@@ -116,23 +114,16 @@ def test_criterion_06_conjecture_probe_k4_k5():
 
 
 def test_criterion_07_k2_decomposition():
-    ok = True
-    for n in range(1, 17):
-        perms = list(enumerate_perms(2, n, ANCHORED))
-        ok = ok and all(
-            reconstruct_k2(decompose_k2(p)).entries == p.entries for p in perms
-        )
-        ok = ok and _count_spaced_subsets(n) == count_k2(n) == len(perms)
-    report("criterion 7: k=2 decompose/reconstruct round trip, I-set count matches", ok)
+    report_checks(
+        "criterion 7: k=2 decompose/reconstruct round trip, I-set count matches",
+        suite_lemma2(16),
+    )
 
 
 def test_criterion_08_departure_dichotomy():
-    ok = all(
-        validate_lemma33(p)
-        for n in range(1, 13)
-        for p in enumerate_perms(3, n, ANCHORED)
+    report_checks(
+        "criterion 8: every +3 departure is Joker or cascading for n<=12", suite_lemma33(12)
     )
-    report("criterion 8: every +3 departure is Joker or cascading for n<=12", ok)
 
 
 def test_criterion_09_oeis_fixture():

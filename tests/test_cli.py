@@ -42,6 +42,14 @@ def test_count_closed_rejects_unsupported_combinations(capsys):
     assert code == 2
 
 
+def test_count_rejects_k_below_one(capsys):
+    for argv in (("--k", "0", "--n", "5"), ("--k", "-1", "--n", "5", "--method", "closed")):
+        code, out, err = run(capsys, "count", *argv)
+        assert code == 2
+        assert out == ""
+        assert "k must be >= 1" in err
+
+
 def test_count_variant_endpoints(capsys):
     code, out, _ = run(
         capsys, "count", "--k", "3", "--n", "6", "--variant", "endpoints:2,6"
@@ -104,6 +112,20 @@ def test_table_max_n_zero_is_empty(capsys):
     code, out, _ = run(capsys, "table", "--k", "2", "--max-n", "0")
     assert code == 0
     assert out == ""
+    for method in ("closed", "brute"):
+        code, out, _ = run(capsys, "table", "--k", "3", "--max-n", "0", "--method", method)
+        assert code == 0
+        assert out == ""
+
+
+def test_table_negative_max_n_is_usage_error(capsys):
+    for method in ("dp", "closed", "brute"):
+        code, out, err = run(
+            capsys, "table", "--k", "3", "--max-n", "-2", "--method", method
+        )
+        assert code == 2
+        assert out == ""
+        assert "n must be >= 1" in err
 
 
 def test_mine_k3_reports_proven_recurrence(capsys):

@@ -8,10 +8,12 @@ from anchorperms.closed_form import (
     K3_COEFFS,
     RationalGF,
     Recurrence,
+    closed_table,
     count_k1,
     count_k2,
     count_k3,
     expand_gf,
+    extend_recurrence,
     fg_two_term_table,
     fgh_table,
     gf_k2,
@@ -20,7 +22,7 @@ from anchorperms.closed_form import (
     k2_table,
     k3_table,
 )
-from anchorperms.core import ANCHORED
+from anchorperms.core import ANCHORED, CountTable
 from anchorperms.polys import coprime_mod_p, poly_gcd
 
 
@@ -42,6 +44,41 @@ def test_count_k3_known_values():
     assert count_k3(9) == 118
     assert count_k3(10) == 254
     assert k3_table(8) == [1, 1, 1, 2, 6, 14, 28, 56]
+
+
+def test_closed_table_serves_k1_to_k3():
+    for k, vals in ((1, [1] * 60), (2, k2_table(60)), (3, k3_table(60))):
+        t = closed_table(k, 60)
+        assert isinstance(t, CountTable)
+        assert (t.k, t.variant, t.provenance, t.offset) == (k, ANCHORED, "closed-form", 1)
+        assert t.values() == vals
+    assert closed_table(3, 1).values() == [1]
+    assert [count_k3(n) for n in range(1, 61)] == k3_table(60)
+
+
+def test_closed_table_rejects_bad_arguments():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            closed_table(k, 5)
+    with pytest.raises(ValueError, match="closed-form"):
+        closed_table(4, 5)
+    for max_n in (0, -2):
+        with pytest.raises(ValueError):
+            closed_table(3, max_n)
+
+
+def test_tables_are_empty_below_one():
+    for max_n in (0, -2):
+        assert k2_table(max_n) == []
+        assert k3_table(max_n) == []
+
+
+def test_extend_recurrence():
+    assert extend_recurrence((1, 1), (1, 1), 7) == [1, 1, 2, 3, 5, 8, 13]
+    assert extend_recurrence((1, 1), (1, 1), 1) == [1]
+    assert extend_recurrence((1, 1), (1, 1), -3) == []
+    # A seed longer than the order is kept as given.
+    assert extend_recurrence((5, 1, 1), (1, 1), 5) == [5, 1, 1, 2, 3]
 
 
 def test_count_k2_matches_brute_oracle():

@@ -123,6 +123,13 @@ def test_count_brute_stats_frozen_search_tree(args, expected):
     assert count_brute(*args) == expected[0]
 
 
+def test_brute_table_rejects_empty_range():
+    # Like term_table: a table needs max_n >= 1.
+    for max_n in (0, -2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            brute_table(3, max_n)
+
+
 def test_invalid_n_rejected():
     with pytest.raises(ValueError):
         list(enumerate_perms(2, 0, ANCHORED))

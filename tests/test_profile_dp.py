@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorperms.backtrack import count_brute, enumerate_perms
-from anchorperms.closed_form import count_k1, count_k2, count_k3, k3_table
+from anchorperms.closed_form import closed_table, count_k2, k3_table
 from anchorperms.core import ANCHORED, FREE, endpoints
 from anchorperms.profile_dp import (
     count_dp,
@@ -86,7 +86,7 @@ def test_dp_brute_and_table_agree_on_random_cases(case):
     assert brute == sum(1 for _ in enumerate_perms(k, n, variant))
     assert term_table(k, variant, max_n)[n] == dp
     if variant == ANCHORED and k <= 3:
-        assert dp == (count_k1, count_k2, count_k3)[k - 1](n)
+        assert dp == closed_table(k, n)[n]
 
 
 def test_dp_matches_closed_forms_deep():
