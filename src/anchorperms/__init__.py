@@ -43,6 +43,7 @@ from .structure import (
     cascading_gap_word,
     classify_departure,
     decompose_k2,
+    departure_points,
     find_joker,
     reconstruct_k2,
     validate_lemma33,

@@ -8,33 +8,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .core import (
-    ANCHORED,
-    CountTable,
-    Permutation,
-    Variant,
-    endpoints,
-    norm_k,
-)
+from .core import ANCHORED, CountTable, Permutation, Variant, check_args, endpoints
 
 JOKER_HEAD = (3, 1, 4, 2, 5)
-
-
-def _first_candidates(n: int, variant: Variant) -> list[int]:
-    if variant.kind == "anchored":
-        return [1]
-    if variant.kind == "endpoints":
-        return [variant.start]
-    return list(range(1, n + 1))
-
-
-def _final(n: int, variant: Variant) -> int | None:
-    """The pinned last value, or None for the free variant."""
-    if variant.kind == "anchored":
-        return n
-    if variant.kind == "endpoints":
-        return variant.end
-    return None
 
 
 def _feasible(a: int, free: int, k: int) -> bool:
@@ -48,23 +24,15 @@ def _feasible(a: int, free: int, k: int) -> bool:
     return abs(a - m) <= k or bool(free >> (m + 1) & ((1 << k) - 1))
 
 
-def _check_args(k, n: int, variant: Variant) -> int:
-    """Validate the arguments of a search; the gap bound as a plain int."""
-    kk = norm_k(k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    variant.check_range(n)
-    return kk
-
-
 def enumerate_perms(
     k, n: int, variant: Variant = ANCHORED, *, prune: bool = True
 ) -> Iterator[Permutation]:
     """Yield every k-bounded permutation under the variant, in lexicographic
     order, each exactly once. Pruning is behavior-invisible; disable it only
     for differential testing."""
-    kk = _check_args(k, n, variant)
-    final = _final(n, variant)
+    kk = check_args(k, n, variant)
+    ends = variant.ends(n)
+    final = ends[-1] if ends else None
     prefix: list[int] = []
 
     def extend(free: int) -> Iterator[Permutation]:
@@ -88,7 +56,7 @@ def enumerate_perms(
             prefix.pop()
 
     everything = (1 << (n + 1)) - 2
-    for first in _first_candidates(n, variant):
+    for first in ends[:1] or range(1, n + 1):
         prefix.append(first)
         yield from extend(everything ^ (1 << first))
         prefix.pop()
@@ -102,8 +70,9 @@ def count_brute(k, n: int, variant: Variant = ANCHORED) -> int:
 def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]:
     """(count, nodes): the pruned search of `enumerate_perms`, counting its
     leaves and its tree nodes without building any permutation."""
-    kk = _check_args(k, n, variant)
-    final = _final(n, variant)
+    kk = check_args(k, n, variant)
+    ends = variant.ends(n)
+    final = ends[-1] if ends else None
     # (v, bit of v) for the values within k of a; the pinned last value is
     # never placed before the last position.
     nbrs = [
@@ -132,7 +101,7 @@ def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]
 
     everything = (1 << (n + 1)) - 2
     total = 0
-    for first in _first_candidates(n, variant):
+    for first in ends[:1] or range(1, n + 1):
         nodes += 1
         total += count(first, everything ^ (1 << first), n - 1) if n > 1 else 1
     return total, nodes
@@ -144,8 +113,6 @@ def count_classes_fgh(n: int) -> tuple[int, int, int]:
     F: anchored; G: first entry 1 or 2, last entry n; H: first entry 3,
     last entry n, first five entries not the Joker head (3,1,4,2,5).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     f = count_brute(3, n, ANCHORED)
     g = f + count_brute(3, n, endpoints(2, n)) if n >= 3 else f
     h = 0
@@ -159,8 +126,6 @@ def count_classes_fgh(n: int) -> tuple[int, int, int]:
 
 
 def brute_table(k, max_n: int, variant: Variant = ANCHORED) -> CountTable:
-    kk = norm_k(k)
-    if max_n < 1:
-        raise ValueError("n must be >= 1")
+    kk = check_args(k, max_n)  # count_brute checks the pinned ends at each n
     terms = {n: count_brute(kk, n, variant) for n in range(1, max_n + 1)}
     return CountTable(k=kk, variant=variant, terms=terms, provenance="brute")

@@ -15,7 +15,7 @@ from .backtrack import brute_table, count_brute, count_brute_stats, enumerate_pe
 from .closed_form import closed_table
 from .core import ANCHORED, FREE, CountTable, Variant, endpoints
 from .oeis import OeisFetchError, serialize_bfile
-from .profile_dp import count_dp, state_space_size, sweep_terms, term_table
+from .profile_dp import count_dp, sweep_terms, term_table
 from .seqmine import InsufficientDataError, conjecture_probe
 from .verify import SUITES
 
@@ -224,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact counts may run past 4300 digits
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ANCHORED, FREE, CountTable, Variant
+from .core import ANCHORED, FREE, CountTable, Variant, check_args
 from .polys import coprime_mod_p, poly_divmod, poly_gcd, trim
 
 
@@ -109,13 +109,10 @@ _ANCHORED_RECURRENCES = (((1,), (1,)), (K2_INITIAL, K2_COEFFS), (K3_INITIAL, K3_
 
 def closed_table(k: int, max_n: int) -> CountTable:
     """Anchored counts for n = 1..max_n from the proven recurrence for k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if k > 3:
         raise ValueError("closed-form counting covers anchored k <= 3 only")
-    if max_n < 1:
-        raise ValueError("n must be >= 1")
-    return _table(k, ANCHORED, extend_recurrence(*_ANCHORED_RECURRENCES[k - 1], max_n))
+    kk = check_args(k, max_n, ANCHORED)
+    return _table(kk, ANCHORED, extend_recurrence(*_ANCHORED_RECURRENCES[kk - 1], max_n))
 
 
 def count_k1(n: int) -> int:

@@ -7,7 +7,7 @@ at position i. All counts are exact Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class LemmaViolationError(AssertionError):
@@ -92,12 +92,17 @@ class Variant:
         if n > 1 and self.start == self.end:
             raise ValueError("start and end must differ when n > 1")
 
-    def matches(self, p: Permutation) -> bool:
+    def ends(self, n: int) -> tuple[int, ...]:
+        """The pinned (first, last) values for length n; () when free."""
         if self.kind == "anchored":
-            return p.entries[0] == 1 and p.entries[-1] == p.n
+            return (1, n)
         if self.kind == "endpoints":
-            return p.entries[0] == self.start and p.entries[-1] == self.end
-        return True
+            return (self.start, self.end)
+        return ()
+
+    def matches(self, p: Permutation) -> bool:
+        ends = self.ends(p.n)
+        return not ends or (p.entries[0], p.entries[-1]) == ends
 
 
 ANCHORED = Variant("anchored")
@@ -147,6 +152,18 @@ def norm_k(k: GapSpec | int) -> int:
     return k.k if isinstance(k, GapSpec) else int(k)
 
 
+def check_args(k: GapSpec | int, n: int = 1, variant: Variant = FREE) -> int:
+    """Validate a counting request (gap bound, length, pinned ends at that
+    length); the gap bound as a plain int."""
+    kk = norm_k(k)
+    if kk < 1:
+        raise ValueError("k must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    variant.check_range(n)
+    return kk
+
+
 def is_k_bounded(p: Permutation, k: GapSpec | int) -> bool:
     """True iff every consecutive absolute difference is at most k."""
     kk = norm_k(k)
@@ -155,7 +172,7 @@ def is_k_bounded(p: Permutation, k: GapSpec | int) -> bool:
 
 
 def is_anchored(p: Permutation) -> bool:
-    return p.entries[0] == 1 and p.entries[-1] == p.n
+    return ANCHORED.matches(p)
 
 
 def gaps(p: Permutation | Sequence[int]) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterator
 
-from .core import ANCHORED, CountTable, Variant, norm_k
+from .core import ANCHORED, CountTable, Variant, check_args, norm_k
 
 # Slot encoding: (degree, label). Label 0 for saturated (degree 2) slots;
 # otherwise the label names the open segment the slot's free end belongs
@@ -50,14 +50,6 @@ def canonicalize(slots: tuple[Slot, ...]) -> tuple[Slot, ...]:
             slot = (deg, mapping[lab])
             out.append(_OPEN_SLOTS.setdefault(slot, slot))
     return tuple(out)
-
-
-def _designated(variant: Variant, n: int) -> tuple[int, ...]:
-    if variant.kind == "anchored":
-        return (1, n)
-    if variant.kind == "endpoints":
-        return (variant.start, variant.end)
-    return ()
 
 
 def _attach_choices(slots: tuple[Slot, ...]) -> Iterator[tuple[int, ...]]:
@@ -145,8 +137,6 @@ class _Graph:
     in first-reached order, each edge list and finish flag computed once."""
 
     def __init__(self, k: int, free: bool):
-        if k < 1:
-            raise ValueError("k must be >= 1")
         self.k, self.free = k, free
         self.ids: dict[Profile, int] = {}
         self.profiles: list[Profile] = []
@@ -188,23 +178,21 @@ class _Graph:
 def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int]]:
     """Yield (n, count, peak) for n = 1..max_n from one incremental sweep;
     peak is the largest number of simultaneous profiles so far."""
-    kk = norm_k(k)
-    if max_n < 1:
-        raise ValueError("n must be >= 1")
-    variant.check_range(max_n)
-    free = variant.kind == "free"
+    kk = check_args(k, max_n, variant)
+    free = not variant.ends(max_n)
     graph = _Graph(kk, free)
     cur = {graph.index(_START): 1}
     peak = 1
     for n in range(1, max_n + 1):
-        cur = graph.step(cur, free or n - kk in _designated(variant, n))
+        ends = variant.ends(n)
+        cur = graph.step(cur, free or n - kk in ends)
         peak = max(peak, len(cur))
         lo = max(1, n - kk + 1)  # the value in the window's first slot
-        mask = None if free else sum(1 << (u - lo) for u in _designated(variant, n) if u >= lo)
+        mask = None if free else sum(1 << (u - lo) for u in ends if u >= lo)
         # A single vertex is the trivial permutation, which qualifies only if
         # every pinned value is 1; a free path counts once per direction.
         if n == 1:
-            count = int(all(u == 1 for u in _designated(variant, n)))
+            count = int(all(u == 1 for u in ends))
         else:
             count = graph.finished(cur, mask) * (2 if free else 1)
         yield n, count, peak
@@ -212,7 +200,9 @@ def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int
 
 def count_dp(k, n: int, variant: Variant = ANCHORED) -> int:
     """Exact count of k-bounded permutations under the variant."""
-    return list(sweep_terms(k, variant, n))[-1][1]
+    for _, count, _ in sweep_terms(k, variant, n):
+        pass
+    return count
 
 
 def term_table(k, variant: Variant = ANCHORED, max_n: int = 1) -> CountTable:
@@ -231,7 +221,7 @@ def term_table_stats(k, variant: Variant, max_n: int) -> tuple[CountTable, int]:
 def state_space_size(k) -> int:
     """Number of distinct reachable canonical profiles under the anchored
     variant: the size of the compiled graph's reachable closure."""
-    kk = norm_k(k)
+    kk = check_args(k)
     graph = _Graph(kk, free=False)
     cur = {graph.index(_START): 1}
     for v in range(1, kk + 2):

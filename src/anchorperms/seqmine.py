@@ -135,8 +135,6 @@ def conjecture_probe(
     """Mine a recurrence from DP-generated anchored counts and validate it
     on held-out DP terms. None when no recurrence of the allowed order
     fits the mining window."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if max_order is None:
         max_order = (terms_n - 4) // 2
     all_terms = term_table(k, ANCHORED, terms_n + holdout).values()

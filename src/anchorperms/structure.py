@@ -11,6 +11,7 @@ parameters (m, d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import LemmaViolationError, Permutation, gaps, is_anchored, is_k_bounded
 
@@ -112,6 +113,15 @@ def _prefix_is_anchored(p: Permutation, i: int) -> bool:
     return p[i] == i and max(p.entries[:i]) == i
 
 
+def departure_points(p: Permutation) -> Iterator[int]:
+    """Positions i < n where an anchored prefix ends (entries 1..i are
+    {1..i}, ending at i) and the next gap is +3: the departures that
+    lemma 3.3 classifies."""
+    for i in range(1, p.n):
+        if _prefix_is_anchored(p, i) and p[i + 1] - p[i] == 3:
+            yield i
+
+
 def classify_departure(p: Permutation, i: int) -> DepartureClassification:
     """Classify the departure following an anchored prefix ending at
     position i. Raises LemmaViolationError if neither pattern matches,
@@ -149,11 +159,7 @@ def validate_lemma33(p: Permutation) -> bool:
     Joker/cascading dichotomy. False means a counterexample."""
     if not (is_k_bounded(p, 3) and is_anchored(p)):
         raise ValueError("permutation must be 3-bounded and anchored")
-    for i in range(1, p.n):
-        if not _prefix_is_anchored(p, i):
-            continue
-        if p[i + 1] - p[i] != 3:
-            continue
+    for i in departure_points(p):
         try:
             result = classify_departure(p, i)
         except LemmaViolationError:

@@ -27,7 +27,10 @@ from .closed_form import (
 )
 from .core import ANCHORED, LemmaViolationError
 from .profile_dp import term_table
-from .structure import JOKER, classify_departure, decompose_k2, find_joker, reconstruct_k2, validate_lemma33
+from .structure import (
+    JOKER, classify_departure, decompose_k2, departure_points, find_joker, reconstruct_k2,
+    validate_lemma33,
+)
 
 Check = tuple[str, bool]
 
@@ -72,13 +75,11 @@ def suite_lemma33(max_n: int = 12) -> list[Check]:
             except LemmaViolationError:
                 all_ok = False
             joker_positions = set(find_joker(p))
-            for i in range(1, p.n):
-                if p[i] == i and max(p.entries[:i]) == i and p[i + 1] - p[i] == 3:
-                    # The factor itself starts one position after the
-                    # departure point.
-                    is_joker = classify_departure(p, i) == JOKER
-                    if is_joker != (i + 1 in joker_positions):
-                        joker_ok = False
+            for i in departure_points(p):
+                # The factor itself starts one position after the departure.
+                is_joker = classify_departure(p, i) == JOKER
+                if is_joker != (i + 1 in joker_positions):
+                    joker_ok = False
         checks.append((f"lemma 3.3 dichotomy holds on full sweep, n={n}", all_ok))
         checks.append((f"joker detectors agree, n={n}", joker_ok))
     return checks

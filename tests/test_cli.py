@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from anchorperms.cli import main
+from anchorperms.closed_form import closed_table
 
 
 def run(capsys, *argv):
@@ -43,11 +45,43 @@ def test_count_closed_rejects_unsupported_combinations(capsys):
 
 
 def test_count_rejects_k_below_one(capsys):
-    for argv in (("--k", "0", "--n", "5"), ("--k", "-1", "--n", "5", "--method", "closed")):
-        code, out, err = run(capsys, "count", *argv)
-        assert code == 2
-        assert out == ""
-        assert "k must be >= 1" in err
+    for argv in (
+        ("count", "--k", "0", "--n", "5"),
+        ("count", "--k", "-1", "--n", "5", "--method", "closed"),
+        ("count", "--k", "0", "--n", "5", "--method", "brute"),
+        ("count", "--k", "0", "--n", "5", "--method", "dp"),
+        ("enumerate", "--k", "0", "--n", "3"),
+        ("table", "--k", "0", "--max-n", "4", "--method", "brute"),
+        ("bench", "--k", "0", "--max-n", "4", "--method", "brute"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ("n,seconds,nodes\n" if argv[0] == "bench" else ""), argv
+        assert "k must be >= 1" in err, argv
+
+
+@pytest.fixture
+def int_str_limit():
+    """Restore the int-to-str digit limit that `main` lifts."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_count_and_table_print_counts_past_4300_digits(capsys, int_str_limit):
+    code, out, err = run(capsys, "count", "--k", "3", "--n", "20000")
+    assert (code, err) == (0, "")
+    expected = str(closed_table(3, 20000)[20000])
+    assert len(expected) == 6501
+    assert out.strip() == expected
+    code, out, err = run(
+        capsys, "table", "--k", "3", "--max-n", "20000", "--method", "closed", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert out.endswith(f"\n20000,{expected}\n")
 
 
 def test_count_variant_endpoints(capsys):

@@ -9,6 +9,7 @@ from anchorperms.core import (
     GapSpec,
     Permutation,
     Variant,
+    check_args,
     endpoints,
     gaps,
     is_anchored,
@@ -75,6 +76,20 @@ def test_variant_invariants():
         endpoints(2, 2).check_range(3)
     with pytest.raises(ValueError):
         endpoints(1, 9).check_range(5)
+    assert ANCHORED.ends(7) == (1, 7)
+    assert endpoints(3, 5).ends(7) == (3, 5)
+    assert FREE.ends(7) == ()
+
+
+def test_check_args_order_and_messages():
+    assert check_args(GapSpec(3), 5, endpoints(2, 4)) == 3
+    for args, message in (
+        ((0, -1, endpoints(9, 9)), "k must be >= 1"),
+        ((2, 0, endpoints(9, 9)), "n must be >= 1"),
+        ((2, 3, endpoints(2, 2)), "start and end must differ"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check_args(*args)
 
 
 def test_count_table_contiguity():

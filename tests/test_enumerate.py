@@ -135,3 +135,10 @@ def test_invalid_n_rejected():
         list(enumerate_perms(2, 0, ANCHORED))
     with pytest.raises(ValueError):
         count_brute(2, 0, ANCHORED)
+    for call in (
+        lambda: count_brute(0, 5),
+        lambda: list(enumerate_perms(0, 3)),
+        lambda: brute_table(0, 4),
+    ):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            call()
