@@ -55,11 +55,14 @@ def enumerate_perms(
                 yield from extend(free ^ bit)
             prefix.pop()
 
-    everything = (1 << (n + 1)) - 2
-    for first in ends[:1] or range(1, n + 1):
-        prefix.append(first)
-        yield from extend(everything ^ (1 << first))
-        prefix.pop()
+    def stream() -> Iterator[Permutation]:
+        everything = (1 << (n + 1)) - 2
+        for first in ends[:1] or range(1, n + 1):
+            prefix.append(first)
+            yield from extend(everything ^ (1 << first))
+            prefix.pop()
+
+    return stream()  # the arguments are checked at the call, not at next()
 
 
 def count_brute(k, n: int, variant: Variant = ANCHORED) -> int:
@@ -126,6 +129,11 @@ def count_classes_fgh(n: int) -> tuple[int, int, int]:
 
 
 def brute_table(k, max_n: int, variant: Variant = ANCHORED) -> CountTable:
-    kk = check_args(k, max_n)  # count_brute checks the pinned ends at each n
-    terms = {n: count_brute(kk, n, variant) for n in range(1, max_n + 1)}
+    """Brute-force counts for n = 1..max_n; the pinned ends are checked at
+    max_n, and a length below a pinned value counts 0, as in term_table."""
+    kk = check_args(k, max_n, variant)
+    terms = {
+        n: count_brute(kk, n, variant) if max(variant.ends(n), default=n) <= n else 0
+        for n in range(1, max_n + 1)
+    }
     return CountTable(k=kk, variant=variant, terms=terms, provenance="brute")

@@ -12,7 +12,7 @@ import sys
 import time
 
 from .backtrack import brute_table, count_brute, count_brute_stats, enumerate_perms
-from .closed_form import closed_table
+from .closed_form import closed_count, closed_table
 from .core import ANCHORED, FREE, CountTable, Variant, endpoints
 from .oeis import OeisFetchError, serialize_bfile
 from .profile_dp import count_dp, sweep_terms, term_table
@@ -49,7 +49,8 @@ def cmd_count(args) -> int:
     if method == "auto":
         method = "closed" if (args.k <= 3 and variant.kind == "anchored") else "dp"
     if method == "closed":
-        value = _make_table(args.k, variant, args.n, "closed")[args.n]
+        _require_anchored(variant)
+        value = closed_count(args.k, args.n)
     elif method == "dp":
         value = count_dp(args.k, args.n, variant)
     else:
@@ -69,10 +70,14 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _require_anchored(variant: Variant) -> None:
+    if variant.kind != "anchored":
+        raise UsageError("closed-form counting covers anchored k <= 3 only")
+
+
 def _make_table(k: int, variant: Variant, max_n: int, method: str) -> CountTable:
     if method == "closed":
-        if variant.kind != "anchored":
-            raise UsageError("closed-form counting covers anchored k <= 3 only")
+        _require_anchored(variant)
         return closed_table(k, max_n)
     if method == "brute":
         return brute_table(k, max_n, variant)

@@ -107,16 +107,27 @@ K3_COEFFS = (2, -1, 2, 1, 1, 0, -1, -1)
 _ANCHORED_RECURRENCES = (((1,), (1,)), (K2_INITIAL, K2_COEFFS), (K3_INITIAL, K3_COEFFS))
 
 
-def closed_table(k: int, max_n: int) -> CountTable:
-    """Anchored counts for n = 1..max_n from the proven recurrence for k."""
+def _closed_terms(k: int, max_n: int) -> tuple[int, list[int]]:
+    """The checked k and its anchored counts for n = 1..max_n."""
     if k > 3:
         raise ValueError("closed-form counting covers anchored k <= 3 only")
     kk = check_args(k, max_n, ANCHORED)
-    return _table(kk, ANCHORED, extend_recurrence(*_ANCHORED_RECURRENCES[kk - 1], max_n))
+    return kk, extend_recurrence(*_ANCHORED_RECURRENCES[kk - 1], max_n)
+
+
+def closed_table(k: int, max_n: int) -> CountTable:
+    """Anchored counts for n = 1..max_n from the proven recurrence for k."""
+    kk, vals = _closed_terms(k, max_n)
+    return _table(kk, ANCHORED, vals)
+
+
+def closed_count(k: int, n: int) -> int:
+    """The anchored count for n alone: closed_table's checks, no table."""
+    return _closed_terms(k, n)[1][-1]
 
 
 def count_k1(n: int) -> int:
-    return closed_table(1, n)[n]
+    return closed_count(1, n)
 
 
 def k2_table(max_n: int) -> list[int]:
@@ -125,7 +136,7 @@ def k2_table(max_n: int) -> list[int]:
 
 
 def count_k2(n: int) -> int:
-    return closed_table(2, n)[n]
+    return closed_count(2, n)
 
 
 def k3_table(max_n: int) -> list[int]:
@@ -134,7 +145,7 @@ def k3_table(max_n: int) -> list[int]:
 
 
 def count_k3(n: int) -> int:
-    return closed_table(3, n)[n]
+    return closed_count(3, n)
 
 
 # Class seeds for the coupled F/G/H system, n = 1..5. Validated against

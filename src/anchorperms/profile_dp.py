@@ -11,16 +11,17 @@ window.
 
 Profiles for a fixed k form a finite set, which is what makes the
 generating function provably rational for every k via the transfer-matrix
-method. The engine compiles that matrix lazily: a profile gets an integer
-id when first reached; its successor ids and whether it finishes a path are
-computed once, and a step is ``nxt[dst] += cur[src]`` over those edges. No
+method. The engine compiles that matrix lazily, once per (k, free) in a
+process: a profile gets an integer id when first reached; its successor ids
+and whether it finishes a path are computed once, and a step is
+``nxt[dst] += cur[src]`` over those edges. No
 edge needs a multiplicity: the new value's degree and the degrees left in
 the window determine which open ends it attached to.
 """
 
 from __future__ import annotations
 
-from array import array
+from functools import lru_cache
 from typing import Iterator
 
 from .core import ANCHORED, CountTable, Variant, check_args, norm_k
@@ -140,7 +141,7 @@ class _Graph:
         self.k, self.free = k, free
         self.ids: dict[Profile, int] = {}
         self.profiles: list[Profile] = []
-        self._edges: dict[int, array] = {}  # pid * 2 + pinned -> successor ids
+        self._edges: tuple[list, list] = ([], [])  # [pinned][pid] -> successor ids or None
         self._finish: dict[int | None, bytearray] = {}  # 0 unknown, 1 no, 2 yes
 
     def index(self, profile: Profile) -> int:
@@ -148,14 +149,15 @@ class _Graph:
         if pid is None:
             pid = self.ids[profile] = len(self.profiles)
             self.profiles.append(profile)
+            for edges in self._edges:
+                edges.append(None)
         return pid
 
-    def edges(self, pid: int, pinned: bool) -> array:
-        key = pid * 2 + pinned
-        out = self._edges.get(key)
+    def edges(self, pid: int, pinned: bool) -> tuple[int, ...]:
+        out = self._edges[pinned][pid]
         if out is None:
             successors = _successors(self.profiles[pid], self.k, pinned, self.free)
-            out = self._edges[key] = array("I", map(self.index, successors))
+            out = self._edges[pinned][pid] = tuple(map(self.index, successors))
         return out
 
     def step(self, cur: dict[int, int], pinned: bool) -> dict[int, int]:
@@ -175,12 +177,20 @@ class _Graph:
         return sum(cnt for pid, cnt in cur.items() if flags[pid] == 2)
 
 
+@lru_cache(maxsize=16)
+def _graph(k: int, free: bool) -> _Graph:
+    """The graph for (k, free), shared by every sweep: successors depend only
+    on (profile, k, pinned, free) and finish flags are keyed by the
+    designated mask, so anchored and endpoints variants share free=False."""
+    return _Graph(k, free)
+
+
 def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int]]:
     """Yield (n, count, peak) for n = 1..max_n from one incremental sweep;
     peak is the largest number of simultaneous profiles so far."""
     kk = check_args(k, max_n, variant)
     free = not variant.ends(max_n)
-    graph = _Graph(kk, free)
+    graph = _graph(kk, free)
     cur = {graph.index(_START): 1}
     peak = 1
     for n in range(1, max_n + 1):
@@ -220,17 +230,20 @@ def term_table_stats(k, variant: Variant, max_n: int) -> tuple[CountTable, int]:
 
 def state_space_size(k) -> int:
     """Number of distinct reachable canonical profiles under the anchored
-    variant: the size of the compiled graph's reachable closure."""
+    variant: the warm-up profiles plus the steady closure."""
     kk = check_args(k)
-    graph = _Graph(kk, free=False)
+    graph = _graph(kk, False)
     cur = {graph.index(_START): 1}
+    warm_up = set(cur)
     for v in range(1, kk + 2):
         cur = graph.step(cur, v - kk == 1)
+        warm_up |= cur.keys()
     # Value 1 has left the window; no later leaving value is pinned, so all
-    # later steps follow the same edges. Every id assigned is reachable.
+    # later steps follow the same edges. The shared graph may also hold ids
+    # only endpoints sweeps reach, so count what this rule reaches.
     seen, todo = set(cur), list(cur)
     while todo:
         new = set(graph.edges(todo.pop(), False)) - seen
         seen |= new
         todo += new
-    return len(graph.profiles)
+    return len(warm_up | seen)

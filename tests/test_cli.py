@@ -142,6 +142,17 @@ def test_table_methods_agree(capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_table_endpoints_brute_matches_dp(capsys):
+    # Both methods check the pinned ends at max_n and print 0 below them.
+    outs = []
+    for method in ("dp", "brute"):
+        argv = ("table", "--k", "3", "--max-n", "7", "--variant", "endpoints:3,4")
+        code, out, _ = run(capsys, *argv, "--method", method)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == "1 0\n2 0\n3 0\n4 2\n5 2\n6 2\n7 3\n"
+
+
 def test_table_max_n_zero_is_empty(capsys):
     code, out, _ = run(capsys, "table", "--k", "2", "--max-n", "0")
     assert code == 0

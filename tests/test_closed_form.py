@@ -8,6 +8,7 @@ from anchorperms.closed_form import (
     K3_COEFFS,
     RationalGF,
     Recurrence,
+    closed_count,
     closed_table,
     count_k1,
     count_k2,
@@ -53,7 +54,10 @@ def test_closed_table_serves_k1_to_k3():
         assert (t.k, t.variant, t.provenance, t.offset) == (k, ANCHORED, "closed-form", 1)
         assert t.values() == vals
     assert closed_table(3, 1).values() == [1]
-    assert [count_k3(n) for n in range(1, 61)] == k3_table(60)
+    for k, count in ((1, count_k1), (2, count_k2), (3, count_k3)):
+        vals = closed_table(k, 60).values()
+        assert [count(n) for n in range(1, 61)] == vals
+        assert [closed_count(k, n) for n in range(1, 61)] == vals
 
 
 def test_closed_table_rejects_bad_arguments():
@@ -63,8 +67,13 @@ def test_closed_table_rejects_bad_arguments():
     with pytest.raises(ValueError, match="closed-form"):
         closed_table(4, 5)
     for max_n in (0, -2):
-        with pytest.raises(ValueError):
-            closed_table(3, max_n)
+        for call in (closed_table, closed_count):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                call(3, max_n)
+    with pytest.raises(ValueError, match="closed-form"):
+        closed_count(4, 5)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        closed_count(0, 5)
 
 
 def test_tables_are_empty_below_one():
@@ -206,3 +215,7 @@ def test_bad_n_rejected():
     for fn in (count_k1, count_k2, count_k3, h_eliminated):
         with pytest.raises(ValueError):
             fn(0)
+    for fn in (count_k1, count_k2, count_k3):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                fn(n)

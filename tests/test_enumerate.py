@@ -11,6 +11,7 @@ from anchorperms.backtrack import (
 )
 from anchorperms.closed_form import count_k2
 from anchorperms.core import ANCHORED, FREE, Permutation, endpoints, is_k_bounded
+from anchorperms.profile_dp import term_table
 
 
 def entries(k, n, variant=ANCHORED, **kw):
@@ -130,14 +131,28 @@ def test_brute_table_rejects_empty_range():
             brute_table(3, max_n)
 
 
+def test_brute_table_follows_the_dp_endpoint_rule():
+    # The pinned ends are checked once, at max_n; a shorter length than a
+    # pinned value counts 0.
+    for max_n in range(4, 9):
+        brute = brute_table(3, max_n, endpoints(3, 4)).values()
+        assert brute == term_table(3, endpoints(3, 4), max_n).values()
+        assert brute[:3] == [0, 0, 0]
+    with pytest.raises(ValueError, match="endpoints 3,4 out of range 1..3"):
+        brute_table(3, 3, endpoints(3, 4))
+    with pytest.raises(ValueError, match="endpoints 3,4 out of range 1..3"):
+        term_table(3, endpoints(3, 4), 3)
+
+
 def test_invalid_n_rejected():
+    # enumerate_perms checks its arguments at the call, before any next().
     with pytest.raises(ValueError):
-        list(enumerate_perms(2, 0, ANCHORED))
+        enumerate_perms(2, 0, ANCHORED)
     with pytest.raises(ValueError):
         count_brute(2, 0, ANCHORED)
     for call in (
         lambda: count_brute(0, 5),
-        lambda: list(enumerate_perms(0, 3)),
+        lambda: enumerate_perms(0, 3),
         lambda: brute_table(0, 4),
     ):
         with pytest.raises(ValueError, match="k must be >= 1"):

@@ -1,7 +1,15 @@
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anchorperms
 from anchorperms.backtrack import count_brute, enumerate_perms
 from anchorperms.closed_form import closed_table, count_k2, k3_table
 from anchorperms.core import ANCHORED, FREE, endpoints
@@ -130,6 +138,83 @@ def test_term_table_stats_validates_like_term_table():
 
 def test_state_space_sizes_frozen():
     assert [state_space_size(k) for k in range(1, 6)] == [3, 8, 26, 95, 365]
+
+
+def test_state_space_sizes_frozen_after_other_sweeps():
+    # Endpoint sweeps share the anchored graph and reach profiles the
+    # anchored rule never does; free sweeps have their own graph. Neither
+    # may count toward the state space.
+    for k in range(1, 6):
+        term_table(k, FREE, 9)
+        for s, e in ((2, 3), (3, 2), (4, 6), (5, 2)):
+            term_table(k, endpoints(s, e), 9)
+    assert [state_space_size(k) for k in range(1, 6)] == [3, 8, 26, 95, 365]
+
+
+# Mixed requests as (function, arguments). Several share a k, so in one
+# process later requests reuse the profiles earlier ones reached; in the
+# endpoint requests marked *, both pinned values leave the window, which
+# reaches profiles the anchored rule never does.
+CALL_ORDER_REQUESTS = [
+    (count_dp, (4, 8, endpoints(2, 3))),  # *
+    (term_table_stats, (4, ANCHORED, 10)),
+    (count_dp, (3, 7, FREE)),
+    (term_table_stats, (5, endpoints(2, 6), 8)),
+    (state_space_size, (4,)),
+    (count_dp, (5, 9, ANCHORED)),
+    (term_table_stats, (3, endpoints(4, 2), 8)),  # *
+    (state_space_size, (3,)),
+    (count_dp, (4, 6, ANCHORED)),
+    (term_table_stats, (4, FREE, 8)),
+    (state_space_size, (5,)),
+    (count_dp, (5, 8, endpoints(3, 1))),  # *
+    (term_table_stats, (3, ANCHORED, 12)),
+    (count_dp, (4, 8, endpoints(3, 5))),
+]
+
+# Runs the pickled requests from stdin in the order given by argv[1] and
+# prints each result, in request order, as JSON.
+CALL_ORDER_CHILD = """
+import json, pickle, sys
+requests = pickle.load(sys.stdin.buffer)
+order = list(range(len(requests)))
+results = [None] * len(requests)
+for i in (order[::-1] if sys.argv[1] == "reversed" else order):
+    fn, args = requests[i]
+    out = fn(*args)
+    results[i] = [out[0].values(), out[1]] if isinstance(out, tuple) else out
+print(json.dumps(results))
+"""
+
+
+def _run_in_fresh_interpreter(order):
+    src = str(Path(anchorperms.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CALL_ORDER_CHILD, order],
+        input=pickle.dumps(CALL_ORDER_REQUESTS),
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_results_do_not_depend_on_call_order():
+    forward = _run_in_fresh_interpreter("forward")
+    assert _run_in_fresh_interpreter("reversed") == forward
+    for (fn, args), result in zip(CALL_ORDER_REQUESTS, forward):
+        if fn is state_space_size:
+            assert result == [3, 8, 26, 95, 365][args[0] - 1]
+        elif fn is count_dp:
+            k, n, variant = args
+            assert n > 8 or result == count_brute(k, n, variant), args
+        else:
+            k, variant, max_n = args
+            for n, count in enumerate(result[0], start=1):
+                if n <= 8 and max(variant.ends(n), default=n) <= n:
+                    assert count == count_brute(k, n, variant), (args, n)
 
 
 def test_invalid_arguments():
