@@ -1,7 +1,10 @@
 """Backtracking enumerator and brute-force counting oracle.
 
 Everything else in the package is tested against this module. Enumeration
-yields permutations in lexicographic order of their list notation.
+yields permutations in lexicographic order of their list notation. The
+counting oracle walks the same pruned search tree but caches each (last
+value, unused set) state, and still reports the node count of the full
+tree.
 """
 
 from __future__ import annotations
@@ -72,7 +75,12 @@ def count_brute(k, n: int, variant: Variant = ANCHORED) -> int:
 
 def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]:
     """(count, nodes): the pruned search of `enumerate_perms`, counting its
-    leaves and its tree nodes without building any permutation."""
+    leaves and its tree nodes without building any permutation.
+
+    A subtree depends only on its last value and its set of unused values,
+    so each (value, set) state is walked once and its pair reused (the
+    Bellman / Held-Karp subset recursion). `nodes` still counts the full
+    tree, every repeated subtree included."""
     kk = check_args(k, n, variant)
     ends = variant.ends(n)
     final = ends[-1] if ends else None
@@ -82,31 +90,41 @@ def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]
         [(v, 1 << v) for v in range(max(1, a - kk), min(n, a + kk) + 1) if v != final]
         for a in range(n + 1)
     ]
-    nodes = 0
+    shift = (n + 1).bit_length()
+    memo: dict[int, tuple[int, int]] = {}  # free << shift | a -> pair
 
-    def count(a: int, free: int, left: int) -> int:
-        """Completions of a prefix that ends in a and leaves `left` >= 1
-        positions, and the values in `free`, to fill."""
-        nonlocal nodes
+    def count(a: int, free: int, left: int) -> tuple[int, int]:
+        """(completions, subtree nodes) of a prefix that ends in a and
+        leaves `left` >= 1 positions, and the values in `free`, to fill."""
         if left == 1:
             # One value is left (the pinned end, if any): close directly.
-            if abs(a - (free.bit_length() - 1)) <= kk:
-                nodes += 1
-                return 1
-            return 0
-        total = 0
+            return (1, 1) if abs(a - (free.bit_length() - 1)) <= kk else (0, 0)
+        key = free << shift | a
+        pair = memo.get(key)
+        if pair is not None:
+            return pair
+        total = nodes = 0
         for v, bit in nbrs[a]:
             if free & bit:
                 nodes += 1
                 if _feasible(v, free ^ bit, kk):
-                    total += count(v, free ^ bit, left - 1)
-        return total
+                    c, m = count(v, free ^ bit, left - 1)
+                    total += c
+                    nodes += m
+        memo[key] = total, nodes
+        return total, nodes
 
     everything = (1 << (n + 1)) - 2
-    total = 0
-    for first in ends[:1] or range(1, n + 1):
-        nodes += 1
-        total += count(first, everything ^ (1 << first), n - 1) if n > 1 else 1
+    total = nodes = 0
+    try:
+        for first in ends[:1] or range(1, n + 1):
+            c, m = count(first, everything ^ (1 << first), n - 1) if n > 1 else (1, 0)
+            total += c
+            nodes += m + 1
+    finally:
+        # `count` closes over itself, a cycle that only the cyclic garbage
+        # collector frees; empty the memo now so it does not wait for that.
+        memo.clear()
     return total, nodes
 
 

@@ -7,9 +7,11 @@ k = 3. All arithmetic is exact; no floats.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .core import ANCHORED, FREE, CountTable, Variant, check_args
 from .polys import coprime_mod_p, poly_divmod, poly_gcd, trim
@@ -83,13 +85,21 @@ class RationalGF:
         return RationalGF(tuple(int(x) for x in num), tuple(int(x) for x in den))
 
 
+def _recurrence_terms(seed: Sequence[int], coefficients: Sequence[int]) -> Iterator[int]:
+    """The endless sequence that starts with `seed` and continues by
+    a_n = sum_j c_j * a_{n-j}, holding only the last len(coefficients)
+    terms."""
+    yield from seed
+    window = deque(seed, maxlen=len(coefficients))
+    while True:
+        window.append(sum(c * window[-j] for j, c in enumerate(coefficients, start=1)))
+        yield window[-1]
+
+
 def extend_recurrence(seed: Sequence[int], coefficients: Sequence[int], max_n: int) -> list[int]:
     """The first max_n terms of the sequence that starts with `seed` and
     continues by a_n = sum_j c_j * a_{n-j}; [] when max_n < 1."""
-    seq = list(seed[: max(max_n, 0)])
-    while len(seq) < max_n:
-        seq.append(sum(c * seq[-j] for j, c in enumerate(coefficients, start=1)))
-    return seq
+    return list(islice(_recurrence_terms(seed, coefficients), max(max_n, 0)))
 
 
 def _table(k: int, variant: Variant, vals: list[int]) -> CountTable:
@@ -107,23 +117,25 @@ K3_COEFFS = (2, -1, 2, 1, 1, 0, -1, -1)
 _ANCHORED_RECURRENCES = (((1,), (1,)), (K2_INITIAL, K2_COEFFS), (K3_INITIAL, K3_COEFFS))
 
 
-def _closed_terms(k: int, max_n: int) -> tuple[int, list[int]]:
-    """The checked k and its anchored counts for n = 1..max_n."""
+def _closed_terms(k: int, n: int) -> tuple[int, Iterator[int]]:
+    """The checked k and its anchored counts from n = 1 on; n is the last
+    length asked for."""
     if k > 3:
         raise ValueError("closed-form counting covers anchored k <= 3 only")
-    kk = check_args(k, max_n, ANCHORED)
-    return kk, extend_recurrence(*_ANCHORED_RECURRENCES[kk - 1], max_n)
+    kk = check_args(k, n, ANCHORED)
+    return kk, _recurrence_terms(*_ANCHORED_RECURRENCES[kk - 1])
 
 
 def closed_table(k: int, max_n: int) -> CountTable:
     """Anchored counts for n = 1..max_n from the proven recurrence for k."""
-    kk, vals = _closed_terms(k, max_n)
-    return _table(kk, ANCHORED, vals)
+    kk, terms = _closed_terms(k, max_n)
+    return _table(kk, ANCHORED, list(islice(terms, max_n)))
 
 
 def closed_count(k: int, n: int) -> int:
-    """The anchored count for n alone: closed_table's checks, no table."""
-    return _closed_terms(k, n)[1][-1]
+    """The anchored count for n alone: closed_table's checks, no table, and
+    only the last `order` terms held at any time."""
+    return next(islice(_closed_terms(k, n)[1], n - 1, None))
 
 
 def count_k1(n: int) -> int:

@@ -240,6 +240,13 @@ def test_bench_brute_csv_shape(capsys):
     assert len(lines) == 7
 
 
+def test_bench_brute_reports_the_full_search_tree(capsys):
+    code, out, _ = run(capsys, "bench", "--k", "3", "--max-n", "8", "--method", "brute")
+    assert code == 0
+    n, _, nodes = out.splitlines()[-1].split(",")
+    assert (n, nodes) == ("8", "408")
+
+
 def test_bench_empty_range_prints_header_only(capsys):
     code, out, _ = run(capsys, "bench", "--k", "2", "--max-n", "0")
     assert code == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from anchorperms.backtrack import count_brute, count_classes_fgh
@@ -55,9 +57,21 @@ def test_closed_table_serves_k1_to_k3():
         assert t.values() == vals
     assert closed_table(3, 1).values() == [1]
     for k, count in ((1, count_k1), (2, count_k2), (3, count_k3)):
-        vals = closed_table(k, 60).values()
-        assert [count(n) for n in range(1, 61)] == vals
-        assert [closed_count(k, n) for n in range(1, 61)] == vals
+        vals = closed_table(k, 200).values()
+        assert [count(n) for n in range(1, 201)] == vals
+        assert [closed_count(k, n) for n in range(1, 201)] == vals
+
+
+def test_closed_count_holds_a_window_not_the_sequence():
+    # Term 20000 of the k = 3 sequence has about 2.7 KB; the whole list of
+    # terms before it is tens of MB.
+    tracemalloc.start()
+    try:
+        count_k3(20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_closed_table_rejects_bad_arguments():

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -122,6 +124,65 @@ def test_count_brute_stats_frozen_search_tree(args, expected):
     # means a changed search tree.
     assert count_brute_stats(*args) == expected
     assert count_brute(*args) == expected[0]
+
+
+def _unmemoized_stats(k, n, variant):
+    # The full walk of the pruned search tree that count_brute_stats
+    # memoizes, on sets instead of bit masks: every subtree is visited.
+    ends = variant.ends(n)
+    final = ends[-1] if ends else None
+    nodes = 0
+
+    def walk(a, free):
+        nonlocal nodes
+        if len(free) == 1:
+            (last,) = free
+            nodes += abs(a - last) <= k
+            return int(abs(a - last) <= k)
+        total = 0
+        for v in sorted(free - {final}):
+            if abs(v - a) <= k:
+                nodes += 1
+                rest = free - {v}
+                m = min(rest)
+                if abs(v - m) <= k or any(m < u <= m + k for u in rest):
+                    total += walk(v, rest)
+        return total
+
+    total = 0
+    for first in ends[:1] or range(1, n + 1):
+        nodes += 1
+        total += walk(first, set(range(1, n + 1)) - {first}) if n > 1 else 1
+    return total, nodes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_count_brute_stats_matches_the_full_tree_walk(k):
+    for n in range(1, 10):
+        variants = [ANCHORED, FREE] + [
+            endpoints(s, e) for s in range(1, n + 1) for e in range(1, n + 1) if s != e
+        ]
+        for v in variants:
+            expected = _unmemoized_stats(k, n, v)
+            assert count_brute_stats(k, n, v) == expected, (k, n, v)
+            assert sum(1 for _ in enumerate_perms(k, n, v, prune=False)) == expected[0]
+
+
+def test_count_brute_releases_its_memo():
+    # The nested counter is a reference cycle that only the cyclic
+    # collector frees; its memo must be emptied before the call returns.
+    count_brute(4, 10, FREE)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            count_brute(4, 10, FREE)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 1 << 20, grown
 
 
 def test_brute_table_rejects_empty_range():
