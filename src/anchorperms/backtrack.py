@@ -27,43 +27,52 @@ def _feasible(a: int, free: int, k: int) -> bool:
     return abs(a - m) <= k or bool(free >> (m + 1) & ((1 << k) - 1))
 
 
+def _tree(k, n: int, variant: Variant) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The pruned search tree that both walkers below share: (checked k,
+    nbrs), where nbrs[a] lists (v, bit of v) for the values that may follow
+    a. The root is a virtual value 0 whose row holds the first values. The
+    pinned last value is never placed before the last position, where the
+    one value left closes the permutation if it lies within k."""
+    kk = check_args(k, n, variant)
+    ends = variant.ends(n)
+    final = ends[-1] if ends else None
+    nbrs = [[(v, 1 << v) for v in ends[:1] or range(1, n + 1)]]
+    nbrs += (
+        [(v, 1 << v) for v in range(max(1, a - kk), min(n, a + kk) + 1) if v != final]
+        for a in range(1, n + 1)
+    )
+    return kk, nbrs
+
+
 def enumerate_perms(
     k, n: int, variant: Variant = ANCHORED, *, prune: bool = True
 ) -> Iterator[Permutation]:
     """Yield every k-bounded permutation under the variant, in lexicographic
     order, each exactly once. Pruning is behavior-invisible; disable it only
     for differential testing."""
-    kk = check_args(k, n, variant)
-    ends = variant.ends(n)
-    final = ends[-1] if ends else None
-    prefix: list[int] = []
-
-    def extend(free: int) -> Iterator[Permutation]:
-        if not free:
-            yield Permutation(tuple(prefix))
-            return
-        a = prefix[-1]
-        last_pos = len(prefix) == n - 1
-        for v in range(max(1, a - kk), min(n, a + kk) + 1):
-            bit = 1 << v
-            if not free & bit:
-                continue
-            if final is not None:
-                if last_pos and v != final:
-                    continue
-                if not last_pos and v == final and prune:
-                    continue
-            prefix.append(v)
-            if not prune or _feasible(v, free ^ bit, kk):
-                yield from extend(free ^ bit)
-            prefix.pop()
+    kk, nbrs = _tree(k, n, variant)
 
     def stream() -> Iterator[Permutation]:
-        everything = (1 << (n + 1)) - 2
-        for first in ends[:1] or range(1, n + 1):
-            prefix.append(first)
-            yield from extend(everything ^ (1 << first))
-            prefix.pop()
+        # One loop over the levels, no recursion: prefix[0] is the root's 0
+        # and rows[i] walks the candidates for the value after prefix[i].
+        prefix, free, rows = [0], (1 << (n + 1)) - 2, [iter(nbrs[0])]
+        while rows:
+            if len(prefix) < n:
+                for v, bit in rows[-1]:
+                    if free & bit and (not prune or _feasible(v, free ^ bit, kk)):
+                        prefix.append(v)
+                        free ^= bit
+                        rows.append(iter(nbrs[v]))
+                        break
+                else:
+                    rows.pop()
+                    free ^= 1 << prefix.pop()
+                continue
+            last = free.bit_length() - 1  # the one value left
+            if abs(prefix[-1] - last) <= kk:
+                yield Permutation((*prefix[1:], last))
+            rows.pop()
+            free ^= 1 << prefix.pop()
 
     return stream()  # the arguments are checked at the call, not at next()
 
@@ -81,21 +90,14 @@ def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]
     so each (value, set) state is walked once and its pair reused (the
     Bellman / Held-Karp subset recursion). `nodes` still counts the full
     tree, every repeated subtree included."""
-    kk = check_args(k, n, variant)
-    ends = variant.ends(n)
-    final = ends[-1] if ends else None
-    # (v, bit of v) for the values within k of a; the pinned last value is
-    # never placed before the last position.
-    nbrs = [
-        [(v, 1 << v) for v in range(max(1, a - kk), min(n, a + kk) + 1) if v != final]
-        for a in range(n + 1)
-    ]
+    kk, nbrs = _tree(k, n, variant)
     shift = (n + 1).bit_length()
     memo: dict[int, tuple[int, int]] = {}  # free << shift | a -> pair
 
     def count(a: int, free: int, left: int) -> tuple[int, int]:
-        """(completions, subtree nodes) of a prefix that ends in a and
-        leaves `left` >= 1 positions, and the values in `free`, to fill."""
+        """(completions, subtree nodes) of a prefix that ends in a (0 for
+        the empty one) and leaves `left` >= 1 positions, and the values in
+        `free`, to fill."""
         if left == 1:
             # One value is left (the pinned end, if any): close directly.
             return (1, 1) if abs(a - (free.bit_length() - 1)) <= kk else (0, 0)
@@ -114,18 +116,12 @@ def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]
         memo[key] = total, nodes
         return total, nodes
 
-    everything = (1 << (n + 1)) - 2
-    total = nodes = 0
     try:
-        for first in ends[:1] or range(1, n + 1):
-            c, m = count(first, everything ^ (1 << first), n - 1) if n > 1 else (1, 0)
-            total += c
-            nodes += m + 1
+        return count(0, (1 << (n + 1)) - 2, n)
     finally:
         # `count` closes over itself, a cycle that only the cyclic garbage
         # collector frees; empty the memo now so it does not wait for that.
         memo.clear()
-    return total, nodes
 
 
 def count_classes_fgh(n: int) -> tuple[int, int, int]:

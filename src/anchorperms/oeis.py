@@ -133,43 +133,31 @@ class CompareReport:
     full_match_at_best_shift: bool
 
 
-def _match_at_shift(a: CountTable, b: CountTable, shift: int) -> tuple[int, int | None]:
-    """(overlap, first mismatch index in a's indexing) comparing a[i] with
-    b[i + shift]."""
+def _agreement(a: CountTable, b: CountTable, shift: int) -> tuple[int, int | None, int]:
+    """(overlap, first mismatch index in a's indexing, leading agreement)
+    comparing a[i] with b[i + shift]."""
     lo = max(min(a.terms, default=0), min(b.terms, default=0) - shift)
     hi = min(max(a.terms, default=-1), max(b.terms, default=-1) - shift)
     overlap = max(0, hi - lo + 1)
-    for i in range(lo, hi + 1):
-        if a[i] != b[i + shift]:
-            return overlap, i
-    return overlap, None
+    mismatch = next((i for i in range(lo, hi + 1) if a[i] != b[i + shift]), None)
+    return overlap, mismatch, overlap if mismatch is None else mismatch - lo
 
 
 def compare(a: CountTable, b: CountTable, shifts: range = range(-3, 4)) -> CompareReport:
     """Compare overlapping terms, then search small offset shifts for the
-    longest leading agreement (reported, never silently applied)."""
-    overlap0, mismatch0 = _match_at_shift(a, b, 0)
-    best = (0, 0, overlap0, mismatch0 is None)  # (match_len, shift, overlap, full)
-    best_len = -1
-    for s in sorted(shifts, key=lambda s: (abs(s), s)):
-        overlap, mismatch = _match_at_shift(a, b, s)
-        if overlap == 0:
-            match_len = 0
-            full = a.terms == {} or b.terms == {} or overlap == 0
-        elif mismatch is None:
-            match_len = overlap
-            full = True
-        else:
-            lo = max(min(a.terms), min(b.terms) - s)
-            match_len = mismatch - lo
-            full = False
-        if match_len > best_len:
-            best_len = match_len
-            best = (match_len, s, overlap, full)
+    longest leading agreement (reported, never silently applied); ties go
+    to the smallest |shift|, the negative one first."""
+    if not shifts:
+        raise ValueError("compare needs at least one shift")
+    overlap, mismatch, _ = _agreement(a, b, 0)
+    ordered = sorted(shifts, key=lambda s: (abs(s), s))
+    (best_overlap, _, agreement), shift = max(
+        ((_agreement(a, b, s), s) for s in ordered), key=lambda run: run[0][2]
+    )
     return CompareReport(
-        overlap_length=overlap0,
-        first_mismatch=mismatch0,
-        best_shift=best[1],
-        best_shift_match_length=best[0],
-        full_match_at_best_shift=best[3] and best[2] > 0,
+        overlap_length=overlap,
+        first_mismatch=mismatch,
+        best_shift=shift,
+        best_shift_match_length=agreement,
+        full_match_at_best_shift=0 < agreement == best_overlap,
     )

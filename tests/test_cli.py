@@ -107,6 +107,12 @@ def test_enumerate_lines(capsys):
     assert out.splitlines() == ["1,2,3,4,5", "1,2,4,3,5", "1,3,2,4,5"]
 
 
+def test_enumerate_long_identity(capsys):
+    code, out, _ = run(capsys, "enumerate", "--k", "1", "--n", "1200")
+    assert code == 0
+    assert out.splitlines() == [",".join(map(str, range(1, 1201)))]
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "--k", "2", "--n", "5", "--format", "json")
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import tracemalloc
@@ -32,13 +33,13 @@ def test_count_brute_known_values():
     assert count_brute(4, 5, ANCHORED) == 6
 
 
+@functools.lru_cache(maxsize=1)  # the tests walk n in the outer loop
+def _all_perms(n):
+    return [Permutation(e) for e in itertools.permutations(range(1, n + 1))]
+
+
 def _filter_reference(k, n, variant):
-    out = []
-    for e in itertools.permutations(range(1, n + 1)):
-        p = Permutation(e)
-        if is_k_bounded(p, k) and variant.matches(p):
-            out.append(e)
-    return out
+    return [p.entries for p in _all_perms(n) if is_k_bounded(p, k) and variant.matches(p)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -55,7 +56,10 @@ def test_endpoints_variant_against_filter():
                 if s == e:
                     continue
                 v = endpoints(s, e)
-                assert entries(3, n, v) == _filter_reference(3, n, v)
+                for k in range(1, 6):
+                    expected = _filter_reference(k, n, v)
+                    assert entries(k, n, v) == expected, (k, n, v)
+                    assert entries(k, n, v, prune=False) == expected, (k, n, v)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -166,6 +170,12 @@ def test_count_brute_stats_matches_the_full_tree_walk(k):
             expected = _unmemoized_stats(k, n, v)
             assert count_brute_stats(k, n, v) == expected, (k, n, v)
             assert sum(1 for _ in enumerate_perms(k, n, v, prune=False)) == expected[0]
+
+
+def test_enumerate_has_no_depth_limit():
+    # One loop over the levels: no recursion, whatever the length.
+    assert next(enumerate_perms(2, 3000)).entries == tuple(range(1, 3001))
+    assert sum(1 for _ in enumerate_perms(1, 5000)) == 1
 
 
 def test_count_brute_releases_its_memo():

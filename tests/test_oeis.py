@@ -160,6 +160,23 @@ def test_compare_detects_offset_shift():
     assert r.best_shift_match_length == 20
 
 
+def test_compare_without_overlap():
+    a = table([1, 1, 1, 2])
+    b = table([1, 1, 1, 2], offset=20)
+    r = compare(a, b)
+    assert r.overlap_length == 0
+    assert r.first_mismatch is None
+    assert r.best_shift == 0
+    assert r.best_shift_match_length == 0
+    assert not r.full_match_at_best_shift
+    assert not compare(a, table([])).full_match_at_best_shift
+
+
+def test_compare_needs_a_shift():
+    with pytest.raises(ValueError, match="at least one shift"):
+        compare(table([1, 2]), table([1, 2]), range(0))
+
+
 def test_fixture_matches_proven_k3_sequence():
     t = parse_bfile(FIXTURE.read_text())
     assert t.offset == 1
