@@ -13,7 +13,7 @@ import time
 
 from .backtrack import brute_table, count_brute, count_brute_stats, enumerate_perms
 from .closed_form import closed_count, closed_table
-from .core import ANCHORED, FREE, CountTable, Variant, endpoints
+from .core import ANCHORED, FREE, CountTable, Variant, check_args, endpoints
 from .oeis import OeisFetchError, serialize_bfile
 from .profile_dp import count_dp, sweep_terms, term_table
 from .seqmine import InsufficientDataError, conjecture_probe
@@ -86,7 +86,11 @@ def _make_table(k: int, variant: Variant, max_n: int, method: str) -> CountTable
 
 def cmd_table(args) -> int:
     variant = parse_variant(args.variant)
-    if args.max_n == 0:
+    if args.max_n == 0:  # an empty table prints nothing, but k and method are still checked
+        if args.method == "closed":
+            _make_table(args.k, variant, 1, args.method)
+        else:
+            check_args(args.k)
         return EXIT_OK
     table = _make_table(args.k, variant, args.max_n, args.method)
     if args.format == "bfile":
@@ -158,6 +162,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     variant = ANCHORED
+    check_args(args.k, args.max_n or 1, variant)  # an empty range (max_n 0) still checks k
     if args.method == "dp":
         print("n,seconds,peak_profiles")
         if args.max_n < 1:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .core import ANCHORED, FREE, CountTable, Variant, check_args
+from .core import ANCHORED, FREE, CountTable, GapSpec, Variant, check_args, norm_k
 from .polys import coprime_mod_p, poly_divmod, poly_gcd, trim
 
 
@@ -117,22 +117,23 @@ K3_COEFFS = (2, -1, 2, 1, 1, 0, -1, -1)
 _ANCHORED_RECURRENCES = (((1,), (1,)), (K2_INITIAL, K2_COEFFS), (K3_INITIAL, K3_COEFFS))
 
 
-def _closed_terms(k: int, n: int) -> tuple[int, Iterator[int]]:
+def _closed_terms(k: GapSpec | int, n: int) -> tuple[int, Iterator[int]]:
     """The checked k and its anchored counts from n = 1 on; n is the last
     length asked for."""
-    if k > 3:
+    kk = norm_k(k)
+    if kk > 3:
         raise ValueError("closed-form counting covers anchored k <= 3 only")
-    kk = check_args(k, n, ANCHORED)
+    check_args(kk, n, ANCHORED)
     return kk, _recurrence_terms(*_ANCHORED_RECURRENCES[kk - 1])
 
 
-def closed_table(k: int, max_n: int) -> CountTable:
+def closed_table(k: GapSpec | int, max_n: int) -> CountTable:
     """Anchored counts for n = 1..max_n from the proven recurrence for k."""
     kk, terms = _closed_terms(k, max_n)
     return _table(kk, ANCHORED, list(islice(terms, max_n)))
 
 
-def closed_count(k: int, n: int) -> int:
+def closed_count(k: GapSpec | int, n: int) -> int:
     """The anchored count for n alone: closed_table's checks, no table, and
     only the last `order` terms held at any time."""
     return next(islice(_closed_terms(k, n)[1], n - 1, None))
@@ -166,39 +167,44 @@ FGH_SEEDS_F = (1, 1, 1, 2, 6)
 FGH_SEEDS_G = (1, 1, 2, 4, 10)
 FGH_SEEDS_H = (0, 0, 0, 2, 3)
 
+# The k = 3 class relations, each stated once. A rule is a tuple of
+# (coefficient, sequence, lag) terms over the sequences F, G, H (0, 1, 2).
+# A term reads a_(n - lag), reads 0 below n = 1, and lag 0 reads a
+# sequence computed earlier in the same step.
+_F, _G, _H = range(3)
+FGH_RULES = (
+    ((1, _G, 1), (1, _H, 1), (1, _F, 5)),
+    ((1, _F, 0), (1, _G, 2), (1, _F, 3), (1, _G, 4), (1, _H, 2)),
+    ((1, _F, 3), (1, _G, 3), (1, _F, 4), (1, _G, 5), (1, _H, 3)),
+)
+# H eliminated: F and G alone.
+FG_RULES = (
+    ((1, _G, 1), (1, _F, 4), (1, _G, 2), (-1, _F, 2), (1, _F, 5)),
+    ((1, _F, 0), (1, _G, 2), (1, _G, 3), (1, _G, 4), (1, _F, 5)),
+)
+H_ELIMINATION = ((1, _F, 3), (1, _G, 1), (-1, _F, 1))
 
-def _zero_indexed(seq: list[int], j: int) -> int:
-    """seq holds a_1.. ; values for j <= 0 are 0 by convention."""
-    return seq[j - 1] if j >= 1 else 0
+
+def rule_at(rule: Sequence[tuple[int, int, int]], seqs: Sequence[Sequence[int]], n: int) -> int:
+    """The rule's value at n; seqs[s] holds a_1.. of sequence s."""
+    return sum(c * seqs[s][n - lag - 1] for c, s, lag in rule if n - lag >= 1)
+
+
+def _run_rules(rules, seeds, max_n: int) -> list[list[int]]:
+    """Each sequence's first max_n terms: its seed, then its rule."""
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    seqs = [list(seed[:max_n]) for seed in seeds]
+    for n in range(1, max_n + 1):
+        for seq, rule in zip(seqs, rules):
+            if len(seq) < n:
+                seq.append(rule_at(rule, seqs, n))
+    return seqs
 
 
 def fgh_table(max_n: int) -> tuple[CountTable, CountTable, CountTable]:
     """Joint F/G/H tables from the three mutual recurrences."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    f = list(FGH_SEEDS_F[:max_n])
-    g = list(FGH_SEEDS_G[:max_n])
-    h = list(FGH_SEEDS_H[:max_n])
-    for n in range(len(f) + 1, max_n + 1):
-        fn = _zero_indexed(g, n - 1) + _zero_indexed(h, n - 1) + _zero_indexed(f, n - 5)
-        f.append(fn)
-        gn = (
-            fn
-            + _zero_indexed(g, n - 2)
-            + _zero_indexed(f, n - 3)
-            + _zero_indexed(g, n - 4)
-            + _zero_indexed(h, n - 2)
-        )
-        g.append(gn)
-        hn = (
-            _zero_indexed(f, n - 3)
-            + _zero_indexed(g, n - 3)
-            + _zero_indexed(f, n - 4)
-            + _zero_indexed(g, n - 5)
-            + _zero_indexed(h, n - 3)
-        )
-        h.append(hn)
-
+    f, g, h = _run_rules(FGH_RULES, (FGH_SEEDS_F, FGH_SEEDS_G, FGH_SEEDS_H), max_n)
     return _table(3, ANCHORED, f), _table(3, FREE, g), _table(3, FREE, h)
 
 
@@ -206,32 +212,11 @@ def fg_two_term_table(max_n: int) -> tuple[CountTable, CountTable]:
     """F/G via the H-eliminated two-sequence system.
 
     The eliminated system is homogeneous except for a unit impulse at
-    n = 1 (the x on the right side of the generating-function relation);
-    with the j <= 0 zero convention it needs no other seeds.
+    n = 1 (the x on the right side of the generating-function relation).
+    That impulse is the one seed, F_1 = 1; G_1 follows from its rule, and
+    with the zero convention below n = 1 nothing else is seeded.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    f: list[int] = []
-    g: list[int] = []
-    for n in range(1, max_n + 1):
-        fn = (
-            (1 if n == 1 else 0)
-            + _zero_indexed(g, n - 1)
-            + _zero_indexed(f, n - 4)
-            + _zero_indexed(g, n - 2)
-            - _zero_indexed(f, n - 2)
-            + _zero_indexed(f, n - 5)
-        )
-        f.append(fn)
-        gn = (
-            fn
-            + _zero_indexed(g, n - 2)
-            + _zero_indexed(g, n - 3)
-            + _zero_indexed(g, n - 4)
-            + _zero_indexed(f, n - 5)
-        )
-        g.append(gn)
-
+    f, g = _run_rules(FG_RULES, ((1,), ()), max_n)
     return _table(3, ANCHORED, f), _table(3, FREE, g)
 
 
@@ -239,10 +224,8 @@ def h_eliminated(n: int) -> int:
     """H_n via the elimination identity H_n = F_{n-3} + G_{n-1} - F_{n-1}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    f_t, g_t, _ = fgh_table(max(n, 1))
-    f = f_t.values()
-    g = g_t.values()
-    return _zero_indexed(f, n - 3) + _zero_indexed(g, n - 1) - _zero_indexed(f, n - 1)
+    f, g, _ = fgh_table(n)
+    return rule_at(H_ELIMINATION, (f.values(), g.values()), n)
 
 
 def gf_k2() -> RationalGF:

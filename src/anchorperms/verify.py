@@ -13,6 +13,8 @@ from pathlib import Path
 from . import oeis as oeis_mod
 from .backtrack import count_brute, count_classes_fgh, enumerate_perms
 from .closed_form import (
+    FGH_RULES,
+    H_ELIMINATION,
     K3_COEFFS,
     closed_table,
     count_k2,
@@ -24,6 +26,7 @@ from .closed_form import (
     gf_k3,
     k2_table,
     k3_table,
+    rule_at,
 )
 from .core import ANCHORED, LemmaViolationError
 from .profile_dp import term_table
@@ -87,46 +90,24 @@ def suite_lemma33(max_n: int = 12) -> list[Check]:
 
 def suite_fgh(max_n: int = 13) -> list[Check]:
     checks = []
-    vals = {n: count_classes_fgh(n) for n in range(1, max_n + 1)}
-    f = {n: v[0] for n, v in vals.items()}
-    g = {n: v[1] for n, v in vals.items()}
-    h = {n: v[2] for n, v in vals.items()}
+    vals = [count_classes_fgh(n) for n in range(1, max_n + 1)]
+    seqs = _, g, h = [[v[i] for v in vals] for i in range(3)]
     for n in range(6, max_n + 1):
+        for name, seq, rule in zip("FGH", seqs, FGH_RULES):
+            checks.append((f"{name} recurrence at n={n}", seq[n - 1] == rule_at(rule, seqs, n)))
         checks.append(
-            (f"F recurrence at n={n}", f[n] == g[n - 1] + h[n - 1] + f.get(n - 5, 0))
-        )
-        checks.append(
-            (
-                f"G recurrence at n={n}",
-                g[n] == f[n] + g[n - 2] + f[n - 3] + g[n - 4] + h[n - 2],
-            )
-        )
-        checks.append(
-            (
-                f"H recurrence at n={n}",
-                h[n] == f[n - 3] + g[n - 3] + f[n - 4] + g.get(n - 5, 0) + h[n - 3],
-            )
-        )
-        checks.append(
-            (
-                f"H elimination identity at n={n}",
-                h[n] == f[n - 3] + g[n - 1] - f[n - 1],
-            )
+            (f"H elimination identity at n={n}", h[n - 1] == rule_at(H_ELIMINATION, seqs, n))
         )
     checks.append(
         (
             "G table matches reference values for n <= 8",
-            tuple(g[n] for n in range(1, min(max_n, 8) + 1))
-            == REFERENCE_G_VALUES[: min(max_n, 8)],
+            tuple(g[:8]) == REFERENCE_G_VALUES[: min(max_n, 8)],
         )
     )
-    ft, gt, ht = fgh_table(max_n)
     checks.append(
         (
             "closed-form F/G/H tables agree with filtered enumeration",
-            ft.values() == [f[n] for n in range(1, max_n + 1)]
-            and gt.values() == [g[n] for n in range(1, max_n + 1)]
-            and ht.values() == [h[n] for n in range(1, max_n + 1)],
+            [t.values() for t in fgh_table(max_n)] == seqs,
         )
     )
     return checks

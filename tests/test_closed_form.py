@@ -7,6 +7,9 @@ from anchorperms.closed_form import (
     FGH_SEEDS_F,
     FGH_SEEDS_G,
     FGH_SEEDS_H,
+    FG_RULES,
+    FGH_RULES,
+    H_ELIMINATION,
     K3_COEFFS,
     RationalGF,
     Recurrence,
@@ -25,7 +28,7 @@ from anchorperms.closed_form import (
     k2_table,
     k3_table,
 )
-from anchorperms.core import ANCHORED, CountTable
+from anchorperms.core import ANCHORED, CountTable, GapSpec
 from anchorperms.polys import coprime_mod_p, poly_gcd
 
 
@@ -60,6 +63,15 @@ def test_closed_table_serves_k1_to_k3():
         vals = closed_table(k, 200).values()
         assert [count(n) for n in range(1, 201)] == vals
         assert [closed_count(k, n) for n in range(1, 201)] == vals
+
+
+def test_closed_table_and_count_accept_a_gap_spec():
+    assert closed_count(GapSpec(3), 10) == 254
+    t = closed_table(GapSpec(2), 7)
+    assert (t.k, t.values()) == (2, [1, 1, 1, 2, 3, 4, 6])
+    for k in (4, GapSpec(4)):  # the k check comes before the n check
+        with pytest.raises(ValueError, match="closed-form"):
+            closed_table(k, 0)
 
 
 def test_closed_count_holds_a_window_not_the_sequence():
@@ -143,6 +155,19 @@ def test_two_term_system_agrees_with_three_term():
 def test_fgh_agrees_with_depth8_recurrence():
     f, _, _ = fgh_table(40)
     assert f.values() == k3_table(40)
+
+
+def test_rule_data_is_well_formed():
+    # (own sequence, number of sequences, rule); H_ELIMINATION defines H
+    # (sequence 2) from F and G.
+    cases = [(own, 3, rule) for own, rule in enumerate(FGH_RULES)]
+    cases += [(own, 2, rule) for own, rule in enumerate(FG_RULES)]
+    cases.append((2, 3, H_ELIMINATION))
+    for own, width, rule in cases:
+        for _, seq, lag in rule:
+            assert 0 <= seq < width
+            assert lag >= 0
+            assert lag > 0 or seq < own
 
 
 def test_h_eliminated():

@@ -1,5 +1,5 @@
 from anchorperms import verify
-from anchorperms.backtrack import count_brute
+from anchorperms.backtrack import count_brute, count_classes_fgh
 from anchorperms.core import ANCHORED
 
 
@@ -12,3 +12,19 @@ def test_depth8_check_reads_brute_force_values(monkeypatch):
     monkeypatch.setattr(verify, "count_brute", wrong_at_11)
     checks = dict(verify.suite_recurrences())
     assert checks["k=3 depth-8 recurrence holds for 8 <= n <= 13"] is False
+
+
+def test_fgh_checks_read_brute_force_values(monkeypatch):
+    # The class relations must be evaluated on brute-force counts, so a
+    # wrong H at n = 9 fails the checks that read it and no earlier one.
+    def wrong_h_at_9(n):
+        f, g, h = count_classes_fgh(n)
+        return f, g, h + (n == 9)
+
+    monkeypatch.setattr(verify, "count_classes_fgh", wrong_h_at_9)
+    checks = verify.suite_fgh()
+    named = dict(checks)
+    assert named["H recurrence at n=9"] is False
+    assert named["F recurrence at n=10"] is False
+    early = [ok for name, ok in checks if "n=" in name and int(name.split("n=")[1]) <= 8]
+    assert len(early) == 12 and all(early)
