@@ -14,7 +14,7 @@ import time
 from .backtrack import brute_table, count_brute, count_brute_stats, enumerate_perms
 from .closed_form import closed_count, closed_table
 from .core import ANCHORED, FREE, CountTable, Variant, check_args, endpoints
-from .oeis import OeisFetchError, serialize_bfile
+from .oeis import OeisFetchError, no_digit_limit, serialize_bfile
 from .profile_dp import count_dp, sweep_terms, term_table
 from .seqmine import InsufficientDataError, conjecture_probe
 from .verify import SUITES
@@ -161,6 +161,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """Per-n timing CSV. The dp method times the process's sweep: a graph's
+    stored rows are replayed and only later n are stepped, so it times a
+    fresh sweep only in a fresh process, such as one `anchorperms bench`."""
     variant = ANCHORED
     check_args(args.k, args.max_n or 1, variant)  # an empty range (max_n 0) still checks k
     if args.method == "dp":
@@ -234,12 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact counts may run past 4300 digits
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        with no_digit_limit():  # exact counts may run past 4300 digits
+            return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

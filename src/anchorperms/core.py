@@ -57,8 +57,7 @@ class GapSpec:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_args(self.k)
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,12 @@ class CountTable:
 
 
 def norm_k(k: GapSpec | int) -> int:
-    """The gap bound as a plain int, from a GapSpec or an int."""
-    return k.k if isinstance(k, GapSpec) else int(k)
+    """The gap bound as a plain int, from a GapSpec or an int; anything
+    else (a float, a string, a bool) is rejected, never truncated."""
+    kk = k.k if isinstance(k, GapSpec) else k
+    if not isinstance(kk, int) or isinstance(kk, bool):
+        raise ValueError(f"k must be an int or a GapSpec, not {k!r}")
+    return kk
 
 
 def check_args(k: GapSpec | int, n: int = 1, variant: Variant = FREE) -> int:

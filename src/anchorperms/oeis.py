@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 import tempfile
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +38,21 @@ class OfflineCacheMissError(OeisFetchError):
     """No network and nothing cached for the requested sequence."""
 
 
+@contextmanager
+def no_digit_limit():
+    """Lift Python's int/str conversion limit of 4300 digits, which exact
+    counts pass, and restore the caller's limit on exit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def parse_bfile(text: str) -> CountTable:
     """Parse OEIS b-file text into a CountTable, preserving the offset."""
     terms: dict[int, int] = {}
@@ -49,7 +66,8 @@ def parse_bfile(text: str) -> CountTable:
         if len(fields) != 2:
             raise BFileParseError(f"expected two fields, got {len(fields)}", line_number)
         try:
-            idx, value = int(fields[0]), int(fields[1])
+            with no_digit_limit():
+                idx, value = int(fields[0]), int(fields[1])
         except ValueError:
             raise BFileParseError(f"non-integer field in {line!r}", line_number) from None
         if prev is not None and idx != prev + 1:
@@ -70,7 +88,8 @@ def parse_bfile(text: str) -> CountTable:
 
 
 def serialize_bfile(table: CountTable) -> str:
-    return "".join(f"{i} {table[i]}\n" for i in sorted(table.terms))
+    with no_digit_limit():
+        return "".join(f"{i} {table[i]}\n" for i in sorted(table.terms))
 
 
 def _cache_path(cache_dir: Path, sequence_id: str) -> Path:

@@ -17,6 +17,12 @@ and whether it finishes a path are computed once, and a step is
 ``nxt[dst] += cur[src]`` over those edges. No
 edge needs a multiplicity: the new value's degree and the degrees left in
 the window determine which open ends it attached to.
+
+Row n of a sweep does not depend on how far the sweep goes: `free` depends
+only on the variant's kind, and the pinned flag and finish mask read only
+``variant.ends(n)``. So each graph keeps its last sweep's rows and final
+profile counts, and a later sweep of the same variant replays those rows
+and steps on from there.
 """
 
 from __future__ import annotations
@@ -143,6 +149,9 @@ class _Graph:
         self.profiles: list[Profile] = []
         self._edges: tuple[list, list] = ([], [])  # [pinned][pid] -> successor ids or None
         self._finish: dict[int | None, bytearray] = {}  # 0 unknown, 1 no, 2 yes
+        # The last sweep run on this graph: (variant, rows, profile counts
+        # after the last row). Its rows list belongs to that sweep alone.
+        self.last: tuple[Variant, list[tuple[int, int, int]], dict[int, int]] | None = None
 
     def index(self, profile: Profile) -> int:
         pid = self.ids.get(profile)
@@ -187,13 +196,19 @@ def _graph(k: int, free: bool) -> _Graph:
 
 def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int]]:
     """Yield (n, count, peak) for n = 1..max_n from one incremental sweep;
-    peak is the largest number of simultaneous profiles so far."""
+    peak is the largest number of simultaneous profiles so far. Rows the
+    graph's last sweep of this variant reached are replayed, not stepped."""
     kk = check_args(k, max_n, variant)
     free = not variant.ends(max_n)
     graph = _graph(kk, free)
-    cur = {graph.index(_START): 1}
-    peak = 1
-    for n in range(1, max_n + 1):
+    last = graph.last
+    if last is not None and last[0] == variant:
+        rows, cur = last[1][:max_n], last[2]  # a copy: this sweep may append
+        yield from rows
+        peak = rows[-1][2]
+    else:
+        rows, cur, peak = [], {graph.index(_START): 1}, 1
+    for n in range(len(rows) + 1, max_n + 1):
         ends = variant.ends(n)
         cur = graph.step(cur, free or n - kk in ends)
         peak = max(peak, len(cur))
@@ -205,6 +220,8 @@ def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int
             count = int(all(u == 1 for u in ends))
         else:
             count = graph.finished(cur, mask) * (2 if free else 1)
+        rows.append((n, count, peak))
+        graph.last = (variant, rows, cur)
         yield n, count, peak
 
 

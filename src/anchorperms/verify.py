@@ -51,7 +51,15 @@ def _count_spaced_subsets(n: int) -> int:
     return rec(2)
 
 
+def _require(max_n: int, least: int) -> None:
+    """A suite whose checks would run over an empty range is a usage error,
+    not a pass."""
+    if max_n < least:
+        raise ValueError(f"max_n must be >= {least}")
+
+
 def suite_lemma2(max_n: int = 16) -> list[Check]:
+    _require(max_n, 1)
     checks = []
     for n in range(1, max_n + 1):
         perms = list(enumerate_perms(2, n, ANCHORED))
@@ -67,6 +75,7 @@ def suite_lemma2(max_n: int = 16) -> list[Check]:
 
 
 def suite_lemma33(max_n: int = 12) -> list[Check]:
+    _require(max_n, 1)
     checks = []
     for n in range(1, max_n + 1):
         all_ok = True
@@ -89,6 +98,7 @@ def suite_lemma33(max_n: int = 12) -> list[Check]:
 
 
 def suite_fgh(max_n: int = 13) -> list[Check]:
+    _require(max_n, 6)  # the class relations are checked from n = 6
     checks = []
     vals = [count_classes_fgh(n) for n in range(1, max_n + 1)]
     seqs = _, g, h = [[v[i] for v in vals] for i in range(3)]
@@ -114,6 +124,7 @@ def suite_fgh(max_n: int = 13) -> list[Check]:
 
 
 def suite_recurrences(max_n: int = 16) -> list[Check]:
+    _require(max_n, 8)  # the depth-8 relation is checked from n = 8
     checks = []
     n2 = min(max_n, 16)
     checks.append(
@@ -147,6 +158,7 @@ def suite_recurrences(max_n: int = 16) -> list[Check]:
 
 
 def suite_gf(max_n: int = 200) -> list[Check]:
+    _require(max_n, 1)
     return [
         (
             f"k=2 generating function expansion matches recurrence to n={max_n}",
@@ -177,6 +189,7 @@ def default_oeis_cache_dir() -> Path:
 def suite_oeis(max_n: int = 60) -> list[Check]:
     """Raises OfflineCacheMissError when neither cache nor network is
     available; the CLI maps that to the environment-error exit code."""
+    _require(max_n, 1)
     table = oeis_mod.fetch_terms("A249665", default_oeis_cache_dir())
     report = oeis_mod.compare(closed_table(3, max_n), table)
     return [

@@ -5,6 +5,7 @@ import pytest
 
 from anchorperms.cli import main
 from anchorperms.closed_form import closed_table
+from anchorperms.oeis import no_digit_limit
 
 
 def run(capsys, *argv):
@@ -62,26 +63,29 @@ def test_count_rejects_k_below_one(capsys):
 
 @pytest.fixture
 def int_str_limit():
-    """Restore the int-to-str digit limit that `main` lifts."""
+    """Python's default int-to-str digit limit for the test, then the old one."""
     if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
+        pytest.skip("no digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
     yield
-    sys.set_int_max_str_digits(limit)
+    sys.set_int_max_str_digits(saved)
 
 
 def test_count_and_table_print_counts_past_4300_digits(capsys, int_str_limit):
+    table = closed_table(3, 20000)
+    with no_digit_limit():
+        expected, row = str(table[20000]), str(table[13300])
+    assert len(expected) == 6501 and len(row) > 4300
     code, out, err = run(capsys, "count", "--k", "3", "--n", "20000")
     assert (code, err) == (0, "")
-    expected = str(closed_table(3, 20000)[20000])
-    assert len(expected) == 6501
     assert out.strip() == expected
     code, out, err = run(
-        capsys, "table", "--k", "3", "--max-n", "20000", "--method", "closed", "--format", "csv"
+        capsys, "table", "--k", "3", "--max-n", "13300", "--method", "closed", "--format", "csv"
     )
     assert (code, err) == (0, "")
-    assert out.endswith(f"\n20000,{expected}\n")
+    assert out.endswith(f"\n13300,{row}\n")
+    assert sys.get_int_max_str_digits() == 4300  # main restores the caller's limit
 
 
 def test_count_variant_endpoints(capsys):
@@ -223,6 +227,16 @@ def test_verify_suites_pass(capsys):
         assert code == 0, f"suite {suite} failed:\n{out}"
         lines = out.splitlines()
         assert lines and all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "suite, least",
+    [("lemma2", 1), ("lemma33", 1), ("fgh", 6), ("recurrences", 8), ("gf", 1), ("oeis", 1)],
+)
+def test_verify_rejects_a_range_that_leaves_a_check_empty(capsys, suite, least):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", str(least - 1))
+    assert (code, out) == (2, "")
+    assert f"max_n must be >= {least}" in err
 
 
 def test_verify_oeis_uses_packaged_cache(capsys):

@@ -92,6 +92,27 @@ def test_check_args_order_and_messages():
             check_args(*args)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.9, 3.0, "3", True, None])
+def test_k_must_be_an_int_or_a_gap_spec(k):
+    # A gap bound of another type is rejected, never truncated: at 2.5 the
+    # DP used to return the k = 2 count.
+    from anchorperms.backtrack import count_brute
+    from anchorperms.closed_form import closed_count
+    from anchorperms.profile_dp import count_dp, term_table
+
+    for call in (
+        lambda: count_dp(k, 6),
+        lambda: term_table(k, ANCHORED, 6),
+        lambda: closed_count(k, 9),
+        lambda: count_brute(k, 6),
+        lambda: check_args(k),
+        lambda: GapSpec(k),
+    ):
+        with pytest.raises(ValueError, match="k must be an int or a GapSpec"):
+            call()
+    assert check_args(GapSpec(3)) == check_args(3) == 3
+
+
 def test_count_table_contiguity():
     with pytest.raises(ValueError):
         CountTable(k=2, variant=ANCHORED, terms={1: 1, 3: 1})

@@ -1,3 +1,4 @@
+import sys
 import urllib.error
 import urllib.request
 from importlib import resources
@@ -13,6 +14,7 @@ from anchorperms.oeis import (
     bfile_url,
     compare,
     fetch_terms,
+    no_digit_limit,
     parse_bfile,
     serialize_bfile,
 )
@@ -35,6 +37,26 @@ def test_parse_round_trip():
     assert t.values() == [1, 1, 2]
     assert t.offset == 1
     assert serialize_bfile(t) == text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_bfile_round_trips_terms_past_4300_digits_and_restores_the_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = "1 1" + "0" * 4998 + "7\n"  # one 5000-digit term
+        big = 10**4999 + 7
+        assert serialize_bfile(table([big])) == text
+        assert sys.get_int_max_str_digits() == 4300
+        assert parse_bfile(text)[1] == big
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(RuntimeError):
+            with no_digit_limit():
+                assert sys.get_int_max_str_digits() == 0
+                raise RuntimeError
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_parse_comments_blanks_and_offset():

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from anchorperms.core import ANCHORED, FREE, endpoints
 from anchorperms.profile_dp import (
     count_dp,
     state_space_size,
+    sweep_terms,
     term_table,
     term_table_stats,
 )
@@ -170,6 +172,12 @@ CALL_ORDER_REQUESTS = [
     (count_dp, (5, 8, endpoints(3, 1))),  # *
     (term_table_stats, (3, ANCHORED, 12)),
     (count_dp, (4, 8, endpoints(3, 5))),
+    # Shorter, equal and longer requests of one variant: replayed or resumed
+    # from whichever ran first.
+    (term_table_stats, (4, FREE, 5)),
+    (term_table_stats, (4, FREE, 11)),
+    (count_dp, (4, 8, FREE)),
+    (term_table_stats, (3, ANCHORED, 12)),
 ]
 
 # Runs the pickled requests from stdin in the order given by argv[1] and
@@ -182,17 +190,21 @@ results = [None] * len(requests)
 for i in (order[::-1] if sys.argv[1] == "reversed" else order):
     fn, args = requests[i]
     out = fn(*args)
-    results[i] = [out[0].values(), out[1]] if isinstance(out, tuple) else out
+    if isinstance(out, tuple):
+        out = [out[0].values(), out[1]]
+    elif not isinstance(out, int):  # a sweep_terms generator
+        out = [list(row) for row in out]
+    results[i] = out
 print(json.dumps(results))
 """
 
 
-def _run_in_fresh_interpreter(order):
+def _run_in_fresh_interpreter(order, requests=CALL_ORDER_REQUESTS):
     src = str(Path(anchorperms.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", CALL_ORDER_CHILD, order],
-        input=pickle.dumps(CALL_ORDER_REQUESTS),
+        input=pickle.dumps(requests),
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         timeout=120,
@@ -215,6 +227,81 @@ def test_results_do_not_depend_on_call_order():
             for n, count in enumerate(result[0], start=1):
                 if n <= 8 and max(variant.ends(n), default=n) <= n:
                     assert count == count_brute(k, n, variant), (args, n)
+
+
+# Each sweep below is the first of its variant on its graph in a fresh
+# interpreter, so none of its rows is replayed or resumed.
+RESUMED = endpoints(3, 1)
+FRESH_SWEEPS = [
+    (sweep_terms, (4, RESUMED, 14)),
+    (sweep_terms, (5, ANCHORED, 12)),
+    (sweep_terms, (5, endpoints(2, 3), 12)),
+]
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    """(k, variant) -> the rows of a fresh sweep, as lists, checked against
+    brute force for n <= 8."""
+    rows = _run_in_fresh_interpreter("forward", FRESH_SWEEPS)
+    out = {}
+    for (_, (k, variant, _)), sweep in zip(FRESH_SWEEPS, rows):
+        for n, count, _ in sweep[:8]:
+            if max(variant.ends(n)) <= n:
+                assert count == count_brute(k, n, variant), (k, variant, n)
+        out[k, variant] = sweep
+    return out
+
+
+def _rows(k, variant, max_n):
+    return [list(row) for row in sweep_terms(k, variant, max_n)]
+
+
+def _start_cold(k):
+    # A sweep of another variant takes the graph's one stored sweep.
+    count_dp(k, 2, ANCHORED)
+
+
+def test_replayed_and_resumed_sweeps_equal_a_fresh_one(fresh):
+    want = fresh[4, RESUMED]
+    _start_cold(4)
+    # Ascending (each resumes the last), equal, descending (replays), longer.
+    for max_n in (3, 5, 9, 12, 12, 7, 3, 12, 14):
+        assert _rows(4, RESUMED, max_n) == want[:max_n], max_n
+        table, peak = term_table_stats(4, RESUMED, max_n)
+        assert (table.values(), peak) == ([r[1] for r in want[:max_n]], want[max_n - 1][2])
+        assert count_dp(4, max_n, RESUMED) == want[max_n - 1][1]
+
+
+def test_sweeps_of_one_variant_in_lockstep(fresh):
+    # Each sweep appends to its own rows, never to rows another sweep
+    # stored, so neither sees the other's steps twice.
+    want = fresh[4, RESUMED]
+    _start_cold(4)
+    a, b = sweep_terms(4, RESUMED, 10), sweep_terms(4, RESUMED, 12)
+    pairs = list(zip(a, b))
+    assert [list(x) for x, _ in pairs] == [list(y) for _, y in pairs] == want[:10]
+    assert [list(y) for y in b] == want[10:12]
+    assert _rows(4, RESUMED, 14) == want
+
+
+def test_abandoned_sweep_then_a_longer_table(fresh):
+    want = fresh[4, RESUMED]
+    _start_cold(4)
+    sweep = sweep_terms(4, RESUMED, 12)
+    assert [list(row) for row in islice(sweep, 5)] == want[:5]
+    sweep.close()
+    table, peak = term_table_stats(4, RESUMED, 12)
+    assert (table.values(), peak) == ([r[1] for r in want[:12]], want[11][2])
+
+
+def test_variants_taking_turns_on_the_shared_graph(fresh):
+    anchored, pinned = fresh[5, ANCHORED], fresh[5, endpoints(2, 3)]
+    assert _rows(5, ANCHORED, 12) == anchored
+    assert _rows(5, endpoints(2, 3), 12) == pinned
+    assert _rows(5, ANCHORED, 9) == anchored[:9]
+    assert _rows(5, ANCHORED, 12) == anchored
+    assert _rows(5, endpoints(2, 3), 10) == pinned[:10]
 
 
 def test_invalid_arguments():
