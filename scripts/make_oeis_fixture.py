@@ -3,14 +3,18 @@
 
 The anchored k=3 sequence is exactly what that entry enumerates, so the
 fixture is produced from the proven depth-8 recurrence (offset 1). When a
-network is available, pass --fetch to pull the live b-file instead.
+network is available, pass --fetch to pull the live b-file instead. The
+first line names the source, "generated from closed_form.k3_table" or
+"fetched from <url>", so `anchorperms verify --suite oeis` can say which.
+
+    PYTHONPATH=src python3 scripts/make_oeis_fixture.py [--terms 60] [--fetch]
 """
 
 import argparse
 from pathlib import Path
 
 from anchorperms.closed_form import k3_table
-from anchorperms.oeis import fetch_terms
+from anchorperms.oeis import SOURCE_TAG, bfile_url, fetch_terms, serialize_bfile
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "anchorperms" / "data"
 
@@ -23,11 +27,12 @@ def main() -> None:
 
     if args.fetch:
         table = fetch_terms("A249665", FIXTURE_DIR, refresh=True)
-        text = "".join(f"{i} {table[i]}\n" for i in sorted(table.terms))
+        source, body = f"fetched from {bfile_url('A249665')}", serialize_bfile(table)
     else:
-        text = "".join(f"{n} {v}\n" for n, v in enumerate(k3_table(args.terms), start=1))
+        source = "generated from closed_form.k3_table"
+        body = "".join(f"{n} {v}\n" for n, v in enumerate(k3_table(args.terms), start=1))
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-    (FIXTURE_DIR / "A249665.txt").write_text(text)
+    (FIXTURE_DIR / "A249665.txt").write_text(f"{SOURCE_TAG}{source}\n{body}")
     print(f"wrote {FIXTURE_DIR / 'A249665.txt'}")
 
 

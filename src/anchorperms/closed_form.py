@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 from typing import Iterator, Sequence
 
 from .core import ANCHORED, FREE, CountTable, GapSpec, Variant, check_args, norm_k
@@ -19,26 +20,34 @@ from .polys import coprime_mod_p, poly_divmod, poly_gcd, trim
 
 @dataclass(frozen=True)
 class Recurrence:
-    """Integer-coefficient linear recurrence a_n = sum_j c_j * a_{n-j}.
+    """The sequence a_1, a_2, ... that starts with `initial` (at least
+    `order` terms) and continues from n0 = len(initial) + 1 on by the
+    integer linear recurrence a_n = sum_j c_j * a_{n-j}."""
 
-    `initial` holds a_1..a_s with s >= order; the relation is guaranteed
-    from index n0 on.
-    """
-
-    order: int
     coefficients: tuple[int, ...]
     initial: tuple[int, ...]
-    n0: int
 
     def __post_init__(self):
-        if self.order < 1 or len(self.coefficients) != self.order:
-            raise ValueError("coefficient count must equal order")
-        if self.coefficients[-1] == 0:
+        if not self.coefficients or self.coefficients[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero")
         if len(self.initial) < self.order:
             raise ValueError("need at least `order` initial terms")
-        if self.n0 < self.order + 1:
-            raise ValueError("n0 must be at least order + 1")
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients)
+
+    @property
+    def n0(self) -> int:
+        return len(self.initial) + 1
+
+    def terms(self) -> Iterator[int]:
+        """The endless sequence, holding only the last `order` terms."""
+        yield from self.initial
+        window = deque(self.initial, maxlen=self.order)
+        while True:
+            window.append(sum(map(mul, self.coefficients, reversed(window))))
+            yield window[-1]
 
 
 @dataclass(frozen=True)
@@ -85,23 +94,6 @@ class RationalGF:
         return RationalGF(tuple(int(x) for x in num), tuple(int(x) for x in den))
 
 
-def _recurrence_terms(seed: Sequence[int], coefficients: Sequence[int]) -> Iterator[int]:
-    """The endless sequence that starts with `seed` and continues by
-    a_n = sum_j c_j * a_{n-j}, holding only the last len(coefficients)
-    terms."""
-    yield from seed
-    window = deque(seed, maxlen=len(coefficients))
-    while True:
-        window.append(sum(c * window[-j] for j, c in enumerate(coefficients, start=1)))
-        yield window[-1]
-
-
-def extend_recurrence(seed: Sequence[int], coefficients: Sequence[int], max_n: int) -> list[int]:
-    """The first max_n terms of the sequence that starts with `seed` and
-    continues by a_n = sum_j c_j * a_{n-j}; [] when max_n < 1."""
-    return list(islice(_recurrence_terms(seed, coefficients), max(max_n, 0)))
-
-
 def _table(k: int, variant: Variant, vals: list[int]) -> CountTable:
     return CountTable(
         k=k, variant=variant, terms=dict(enumerate(vals, start=1)), provenance="closed-form"
@@ -112,9 +104,11 @@ K2_INITIAL = (1, 1, 1)
 K2_COEFFS = (1, 0, 1)
 K3_INITIAL = (1, 1, 1, 2, 6, 14, 28, 56)
 K3_COEFFS = (2, -1, 2, 1, 1, 0, -1, -1)
-# (seed, coefficients) of the anchored counts for k = 1, 2, 3; only the
-# identity is 1-bounded and anchored.
-_ANCHORED_RECURRENCES = (((1,), (1,)), (K2_INITIAL, K2_COEFFS), (K3_INITIAL, K3_COEFFS))
+# The anchored counts for k = 1, 2, 3; only the identity is 1-bounded and
+# anchored.
+_ANCHORED_RECURRENCES = (
+    Recurrence((1,), (1,)), Recurrence(K2_COEFFS, K2_INITIAL), Recurrence(K3_COEFFS, K3_INITIAL)
+)
 
 
 def _closed_terms(k: GapSpec | int, n: int) -> tuple[int, Iterator[int]]:
@@ -124,7 +118,7 @@ def _closed_terms(k: GapSpec | int, n: int) -> tuple[int, Iterator[int]]:
     if kk > 3:
         raise ValueError("closed-form counting covers anchored k <= 3 only")
     check_args(kk, n, ANCHORED)
-    return kk, _recurrence_terms(*_ANCHORED_RECURRENCES[kk - 1])
+    return kk, _ANCHORED_RECURRENCES[kk - 1].terms()
 
 
 def closed_table(k: GapSpec | int, max_n: int) -> CountTable:
@@ -145,7 +139,7 @@ def count_k1(n: int) -> int:
 
 def k2_table(max_n: int) -> list[int]:
     """R_1..R_max_n with R_n = R_{n-1} + R_{n-3}."""
-    return extend_recurrence(K2_INITIAL, K2_COEFFS, max_n)
+    return list(islice(_ANCHORED_RECURRENCES[1].terms(), max(max_n, 0)))
 
 
 def count_k2(n: int) -> int:
@@ -154,7 +148,7 @@ def count_k2(n: int) -> int:
 
 def k3_table(max_n: int) -> list[int]:
     """F_1..F_max_n using the depth-8 recurrence beyond the seed block."""
-    return extend_recurrence(K3_INITIAL, K3_COEFFS, max_n)
+    return list(islice(_ANCHORED_RECURRENCES[2].terms(), max(max_n, 0)))
 
 
 def count_k3(n: int) -> int:

@@ -22,6 +22,9 @@ from .core import FREE, CountTable
 
 DEFAULT_BASE_URL = "https://oeis.org"
 _ID_RE = re.compile(r"^A\d{6}$")
+# The comment line that says where a cached b-file came from, as written by
+# fetch_terms ("fetched from <url>") and scripts/make_oeis_fixture.py.
+SOURCE_TAG = "# source: "
 
 
 class BFileParseError(ValueError):
@@ -54,13 +57,15 @@ def no_digit_limit():
 
 
 def parse_bfile(text: str) -> CountTable:
-    """Parse OEIS b-file text into a CountTable, preserving the offset."""
+    """Parse OEIS b-file text into a CountTable, preserving the offset. The
+    table's provenance is what the first `# source: ` line says."""
     terms: dict[int, int] = {}
-    offset = None
-    prev = None
+    offset = prev = source = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
+            if source is None and line.startswith(SOURCE_TAG):
+                source = line[len(SOURCE_TAG):].strip()
             continue
         fields = line.split()
         if len(fields) != 2:
@@ -82,7 +87,7 @@ def parse_bfile(text: str) -> CountTable:
         k=0,
         variant=FREE,
         terms=terms,
-        provenance="oeis",
+        provenance=source or "b-file, source not stated",
         offset=offset if offset is not None else 1,
     )
 
@@ -115,8 +120,9 @@ def fetch_terms(
     path = _cache_path(cache_dir, sequence_id)
     if path.exists() and not refresh:
         return parse_bfile(path.read_text())
+    url = bfile_url(sequence_id, base_url)
     try:
-        with urllib.request.urlopen(bfile_url(sequence_id, base_url), timeout=30) as resp:
+        with urllib.request.urlopen(url, timeout=30) as resp:
             status, text = resp.status, resp.read().decode()
     except urllib.error.HTTPError as exc:
         raise OeisFetchError(f"HTTP {exc.code} fetching {sequence_id}") from exc
@@ -134,7 +140,7 @@ def fetch_terms(
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{sequence_id}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write(f"{SOURCE_TAG}fetched from {url}\n{text}")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -197,32 +197,38 @@ def _graph(k: int, free: bool) -> _Graph:
 def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int]]:
     """Yield (n, count, peak) for n = 1..max_n from one incremental sweep;
     peak is the largest number of simultaneous profiles so far. Rows the
-    graph's last sweep of this variant reached are replayed, not stepped."""
+    graph's last sweep of this variant reached are replayed, not stepped.
+    The arguments are checked at the call; the graph's last sweep is read
+    at the first row."""
     kk = check_args(k, max_n, variant)
     free = not variant.ends(max_n)
-    graph = _graph(kk, free)
-    last = graph.last
-    if last is not None and last[0] == variant:
-        rows, cur = last[1][:max_n], last[2]  # a copy: this sweep may append
-        yield from rows
-        peak = rows[-1][2]
-    else:
-        rows, cur, peak = [], {graph.index(_START): 1}, 1
-    for n in range(len(rows) + 1, max_n + 1):
-        ends = variant.ends(n)
-        cur = graph.step(cur, free or n - kk in ends)
-        peak = max(peak, len(cur))
-        lo = max(1, n - kk + 1)  # the value in the window's first slot
-        mask = None if free else sum(1 << (u - lo) for u in ends if u >= lo)
-        # A single vertex is the trivial permutation, which qualifies only if
-        # every pinned value is 1; a free path counts once per direction.
-        if n == 1:
-            count = int(all(u == 1 for u in ends))
+
+    def stream() -> Iterator[tuple[int, int, int]]:
+        graph = _graph(kk, free)
+        last = graph.last
+        if last is not None and last[0] == variant:
+            rows, cur = last[1][:max_n], last[2]  # a copy: this sweep may append
+            yield from rows
+            peak = rows[-1][2]
         else:
-            count = graph.finished(cur, mask) * (2 if free else 1)
-        rows.append((n, count, peak))
-        graph.last = (variant, rows, cur)
-        yield n, count, peak
+            rows, cur, peak = [], {graph.index(_START): 1}, 1
+        for n in range(len(rows) + 1, max_n + 1):
+            ends = variant.ends(n)
+            cur = graph.step(cur, free or n - kk in ends)
+            peak = max(peak, len(cur))
+            lo = max(1, n - kk + 1)  # the value in the window's first slot
+            mask = None if free else sum(1 << (u - lo) for u in ends if u >= lo)
+            # A single vertex is the trivial permutation, which qualifies only
+            # if every pinned value is 1; a free path counts once per direction.
+            if n == 1:
+                count = int(all(u == 1 for u in ends))
+            else:
+                count = graph.finished(cur, mask) * (2 if free else 1)
+            rows.append((n, count, peak))
+            graph.last = (variant, rows, cur)
+            yield n, count, peak
+
+    return stream()
 
 
 def count_dp(k, n: int, variant: Variant = ANCHORED) -> int:

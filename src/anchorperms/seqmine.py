@@ -14,10 +14,11 @@ one over Q. With twice that many terms the shortest register is unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .core import ANCHORED
-from .closed_form import RationalGF, Recurrence, extend_recurrence
+from .closed_form import RationalGF, Recurrence
 from .polys import poly_mul, trim
 from .profile_dp import state_space_size, term_table
 
@@ -54,11 +55,11 @@ def find_recurrence(terms: Sequence[int], max_order: int) -> Recurrence | None:
 
     Terms are indexed from n = 1. BM's shortest register for the window,
     of length L and connection polynomial C = 1 - c_1 x - ... - c_r x^r,
-    is the recurrence a_n = sum_j c_j a_{n-j} of order r = deg C for all
-    n >= n0 = L + 1 (a transient of L - r terms). It is returned only if it
-    holds exactly on every term, r <= max_order, L - r <= max_order and
-    L + r < len(terms); else None. A window shorter than 2 * L may hide a
-    lower-order fit with a longer transient."""
+    is the Recurrence of those c_j seeded with the first L terms: order
+    r = deg C, n0 = L + 1. It is returned only if its terms() reproduce the
+    window, r <= max_order, L - r <= max_order and L + r < len(terms);
+    else None. A window shorter than 2 * L may hide a lower-order fit with
+    a longer transient."""
     terms = list(terms)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -80,37 +81,38 @@ def find_recurrence(terms: Sequence[int], max_order: int) -> Recurrence | None:
         modulus *= p
         lifted = [-r if r <= modulus // 2 else modulus - r for r in residues[1:]]
         coeffs = tuple(trim(lifted))
-        if all(
-            terms[n] == sum(c * terms[n - j] for j, c in enumerate(coeffs, start=1))
-            for n in range(L, len(terms))
-        ):
-            r = len(coeffs)
-            if r == 0 or r > max_order or L - r > max_order or L + r >= len(terms):
+        if not coeffs:
+            continue  # C = 1: the terms are 0 mod p from n = L + 1 on
+        rec = Recurrence(coeffs, tuple(terms[:L]))
+        if all(a == b for a, b in zip(rec.terms(), terms)):
+            r = rec.order
+            if max(r, L - r) > max_order or L + r >= len(terms):
                 return None
-            return Recurrence(order=r, coefficients=coeffs, initial=tuple(terms[:L]), n0=L + 1)
+            return rec
     return None
 
 
 def predict(rec: Recurrence, seed: Sequence[int], count: int) -> list[int]:
-    """Extend the sequence by `count` terms using the recurrence."""
-    if len(seed) < rec.order:
-        raise ValueError("seed shorter than recurrence order")
-    return extend_recurrence(seed, rec.coefficients, len(seed) + count)[len(seed):]
+    """The `count` terms that follow `seed` under the recurrence; the seed
+    must hold at least `order` terms."""
+    seeded = Recurrence(rec.coefficients, tuple(seed))
+    return list(islice(seeded.terms(), len(seed), len(seed) + count))
 
 
 def to_gf(rec: Recurrence, terms: Sequence[int]) -> RationalGF:
-    """Rational generating function Sum terms_n x^n implied by the
-    recurrence; verifies that the recurrence really annihilates the tail
-    of the given terms."""
-    terms = list(terms)
-    den = [1] + [-c for c in rec.coefficients]
-    prod = poly_mul(den, [0] + terms)  # coefficient of x^0 is 0
-    cutoff = max(rec.order, rec.n0 - 1)
-    for d in range(cutoff + 1, len(terms) + 1):
-        if d < len(prod) and prod[d] != 0:
-            raise ValueError(f"recurrence fails to cancel term x^{d}")
-    num = trim(prod[: cutoff + 1])
-    return RationalGF.reduced(num, den)
+    """Rational generating function Sum terms_n x^n of the recurrence
+    seeded with the terms before n0; ValueError unless it reproduces every
+    given term. For the shortest register, as find_recurrence returns, the
+    fraction is in lowest terms: a common factor would give a shorter one.
+    A recurrence of more than the least order can leave one, and then
+    RationalGF raises ValueError."""
+    seeded = Recurrence(rec.coefficients, tuple(terms[: rec.n0 - 1]))
+    for n, (a, b) in enumerate(zip(seeded.terms(), terms), start=1):
+        if a != b:
+            raise ValueError(f"recurrence fails to reproduce term {n}")
+    den = (1, *(-c for c in rec.coefficients))
+    num = trim(poly_mul(den, [0, *seeded.initial])[: rec.n0])
+    return RationalGF(tuple(num), den)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 from . import oeis as oeis_mod
@@ -16,10 +17,10 @@ from .closed_form import (
     FGH_RULES,
     H_ELIMINATION,
     K3_COEFFS,
+    Recurrence,
     closed_table,
     count_k2,
     expand_gf,
-    extend_recurrence,
     fg_two_term_table,
     fgh_table,
     gf_k2,
@@ -142,7 +143,7 @@ def suite_recurrences(max_n: int = 16) -> list[Check]:
     checks.append(
         (
             f"k=3 depth-8 recurrence holds for 8 <= n <= {n3}",
-            extend_recurrence((0, *brute3[:7]), K3_COEFFS, n3 + 1)[1:] == brute3,
+            list(islice(Recurrence(K3_COEFFS, (0, *brute3[:7])).terms(), 1, n3 + 1)) == brute3,
         )
     )
     big = max(max_n, 20)
@@ -187,15 +188,21 @@ def default_oeis_cache_dir() -> Path:
 
 
 def suite_oeis(max_n: int = 60) -> list[Check]:
-    """Raises OfflineCacheMissError when neither cache nor network is
-    available; the CLI maps that to the environment-error exit code."""
+    """The check names the b-file's source header. Unless the file says it
+    was fetched, it is a local fixture and the check is one of consistency
+    only. Raises OfflineCacheMissError when neither cache nor
+    network is available; the CLI maps that to the environment-error exit
+    code."""
     _require(max_n, 1)
     table = oeis_mod.fetch_terms("A249665", default_oeis_cache_dir())
+    if table.provenance.startswith("fetched from "):
+        subject = f"A249665 ({table.provenance}) fully matches"
+    else:
+        subject = f"consistency check: the local A249665 fixture ({table.provenance}) matches"
     report = oeis_mod.compare(closed_table(3, max_n), table)
     return [
         (
-            f"A249665 fully matches the k=3 anchored table at shift "
-            f"{report.best_shift}",
+            f"{subject} the k=3 anchored table at shift {report.best_shift}",
             report.full_match_at_best_shift
             and report.best_shift in range(-3, 4),
         )

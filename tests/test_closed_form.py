@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -19,7 +21,6 @@ from anchorperms.closed_form import (
     count_k2,
     count_k3,
     expand_gf,
-    extend_recurrence,
     fg_two_term_table,
     fgh_table,
     gf_k2,
@@ -108,12 +109,11 @@ def test_tables_are_empty_below_one():
         assert k3_table(max_n) == []
 
 
-def test_extend_recurrence():
-    assert extend_recurrence((1, 1), (1, 1), 7) == [1, 1, 2, 3, 5, 8, 13]
-    assert extend_recurrence((1, 1), (1, 1), 1) == [1]
-    assert extend_recurrence((1, 1), (1, 1), -3) == []
+def test_recurrence_terms():
+    fib = Recurrence((1, 1), (1, 1))
+    assert list(islice(fib.terms(), 7)) == [1, 1, 2, 3, 5, 8, 13]
     # A seed longer than the order is kept as given.
-    assert extend_recurrence((5, 1, 1), (1, 1), 5) == [5, 1, 1, 2, 3]
+    assert list(islice(Recurrence((1, 1), (5, 1, 1)).terms(), 5)) == [5, 1, 1, 2, 3]
 
 
 def test_count_k2_matches_brute_oracle():
@@ -216,11 +216,15 @@ def test_depth8_recurrence_also_holds_at_n8():
 
 def test_recurrence_type_invariants():
     with pytest.raises(ValueError):
-        Recurrence(order=2, coefficients=(1, 0), initial=(1, 1), n0=3)
+        Recurrence((1, 0), (1, 1))
     with pytest.raises(ValueError):
-        Recurrence(order=2, coefficients=(1, 1), initial=(1,), n0=3)
+        Recurrence((), (1,))
     with pytest.raises(ValueError):
-        Recurrence(order=2, coefficients=(1, 1), initial=(1, 1), n0=2)
+        Recurrence((1, 1), (1,))
+    # Order and n0 follow from the two stored fields.
+    rec = Recurrence((1, 1), (5, 1, 1))
+    assert [f.name for f in dataclasses.fields(rec)] == ["coefficients", "initial"]
+    assert (rec.order, rec.n0) == (2, 4)
 
 
 def test_rational_gf_type_invariants():

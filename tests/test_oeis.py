@@ -133,6 +133,8 @@ def test_fetch_via_local_server(tmp_path, monkeypatch):
     assert calls == ["http://mirror/A249665/b249665.txt"]
     assert t.values() == k3_table(60)
     assert (tmp_path / "A249665.txt").exists()
+    # The cached copy says where it came from.
+    assert t.provenance == "fetched from http://mirror/A249665/b249665.txt"
     # Second call is served from cache, no network.
     monkeypatch.setattr(urllib.request, "urlopen", None)
     assert fetch_terms("A249665", tmp_path).values() == k3_table(60)
@@ -204,3 +206,9 @@ def test_fixture_matches_proven_k3_sequence():
     assert t.offset == 1
     assert t.values() == k3_table(60)
     assert compare(table(k3_table(60)), t).full_match_at_best_shift
+
+
+def test_provenance_is_the_first_source_line():
+    assert parse_bfile(FIXTURE.read_text()).provenance == "generated from closed_form.k3_table"
+    assert parse_bfile("# A249665\n1 1\n").provenance == "b-file, source not stated"
+    assert parse_bfile("# source: a\n# source: b\n1 1\n").provenance == "a"

@@ -311,3 +311,11 @@ def test_invalid_arguments():
         count_dp(2, 0, ANCHORED)
     with pytest.raises(ValueError):
         count_dp(2, 3, endpoints(1, 9))
+
+
+def test_sweep_checks_its_arguments_at_the_call():
+    # A bad request raises before any row is asked for.
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        sweep_terms(0, ANCHORED, 3)
+    with pytest.raises(ValueError):
+        sweep_terms(3, endpoints(5, 1), 3)

@@ -1,6 +1,10 @@
 import pytest
 
-from anchorperms.closed_form import K3_COEFFS, gf_k2, gf_k3, k2_table, k3_table
+from anchorperms.closed_form import (
+    K3_COEFFS, RationalGF, Recurrence, expand_gf, gf_k2, gf_k3, k2_table, k3_table,
+)
+from anchorperms.core import endpoints
+from anchorperms.profile_dp import term_table
 from anchorperms.seqmine import (
     InsufficientDataError,
     conjecture_probe,
@@ -101,6 +105,38 @@ def test_to_gf_reproduces_proven_generating_functions():
     assert to_gf(find_recurrence(terms2, 6), terms2) == gf_k2()
     terms3 = k3_table(40)
     assert to_gf(find_recurrence(terms3, 12), terms3) == gf_k3()
+
+
+def test_recurrence_with_a_transient_seeds_gf_and_prediction():
+    # k = 5 with pinned endpoints (3, 4): the register is one term longer
+    # than the recurrence's order, so the seed runs past `order`.
+    values = term_table(5, endpoints(3, 4), 180).values()
+    mined = values[:160]
+    rec = find_recurrence(mined, 70)
+    assert (rec.order, rec.n0) == (62, 64)
+    assert rec.initial == tuple(mined[: rec.n0 - 1])
+    assert expand_gf(to_gf(rec, mined), 180) == values
+    assert predict(rec, mined, 20) == values[160:]
+
+
+def test_to_gf_takes_the_numerator_from_the_given_terms():
+    fib = [1, 1]
+    lucas = [1, 3]
+    while len(lucas) < 24:
+        fib.append(fib[-1] + fib[-2])
+        lucas.append(lucas[-1] + lucas[-2])
+    rec = find_recurrence(fib, max_order=5)
+    assert to_gf(rec, lucas) == RationalGF((0, 1, 2), (1, -1, -1))
+    lucas[rec.n0 + 2] += 1
+    with pytest.raises(ValueError):
+        to_gf(rec, lucas)
+
+
+def test_to_gf_rejects_a_longer_register_than_the_shortest():
+    # A constant sequence under a_n = 2 a_(n-1) - a_(n-2): the fraction
+    # x (1 - x) / (1 - x)^2 is not in lowest terms.
+    with pytest.raises(ValueError, match="share a factor"):
+        to_gf(Recurrence((2, -1), (1, 1)), [1] * 10)
 
 
 def test_conjecture_probe_k2():

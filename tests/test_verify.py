@@ -1,3 +1,5 @@
+from importlib import resources
+
 from anchorperms import verify
 from anchorperms.backtrack import count_brute, count_classes_fgh
 from anchorperms.core import ANCHORED
@@ -28,3 +30,21 @@ def test_fgh_checks_read_brute_force_values(monkeypatch):
     assert named["F recurrence at n=10"] is False
     early = [ok for name, ok in checks if "n=" in name and int(name.split("n=")[1]) <= 8]
     assert len(early) == 12 and all(early)
+
+
+def test_oeis_check_names_the_source_of_its_b_file(tmp_path, monkeypatch):
+    # The packaged fixture is generated from the k = 3 recurrence, so its
+    # check is a consistency check, not an OEIS match.
+    [(name, ok)] = verify.suite_oeis()
+    assert ok
+    assert name.startswith("consistency check: the local A249665 fixture")
+    assert "(generated from closed_form.k3_table)" in name
+    # A b-file whose header says it was fetched is named as an OEIS match.
+    fixture = (resources.files("anchorperms") / "data" / "A249665.txt").read_text()
+    url = "https://oeis.org/A249665/b249665.txt"
+    body = fixture.split("\n", 1)[1]
+    (tmp_path / "A249665.txt").write_text(f"# source: fetched from {url}\n{body}")
+    monkeypatch.setenv("OEIS_CACHE_DIR", str(tmp_path))
+    [(name, ok)] = verify.suite_oeis()
+    assert ok
+    assert name == f"A249665 (fetched from {url}) fully matches the k=3 anchored table at shift 0"
