@@ -5,9 +5,10 @@ A k-bounded permutation of [n] is a Hamiltonian path in the graph on
 the path's endpoints. Values are processed in increasing order, so only
 the last k processed values can still gain neighbors. The DP state
 (profile) records, for that window, each value's degree in the partial
-linear forest plus a canonical pairing of open segment ends, and how many
-path endpoints have already been committed among values that left the
-window.
+linear forest plus, for each open end, the offset to the other end of its
+segment, and how many path endpoints have already been committed among
+values that left the window. Offsets are relative and name no segment, so
+equal states are equal tuples by construction.
 
 Profiles for a fixed k form a finite set, which is what makes the
 generating function provably rational for every k via the transfer-matrix
@@ -32,31 +33,14 @@ from typing import Iterator
 
 from .core import ANCHORED, CountTable, Variant, check_args, norm_k
 
-# Slot encoding: (degree, label). Label 0 for saturated (degree 2) slots;
-# otherwise the label names the open segment the slot's free end belongs
-# to. A label occurring once means the segment's other end was committed
-# as a final path endpoint when its value left the window.
-Slot = tuple[int, int]
+# Slot encoding: (degree, offset). A saturated (degree 2) slot stores None.
+# An open slot's offset leads to the other end of its segment: 0 for a lone
+# value, None once that end has left the window as a path endpoint.
+Slot = tuple[int, int | None]
 Profile = tuple[tuple[Slot, ...], int]
 
 _START: Profile = ((), 0)
-_SATURATED: Slot = (2, 0)
-_OPEN_SLOTS: dict[Slot, Slot] = {}  # interned, so stored profiles share slots
-
-
-def canonicalize(slots: tuple[Slot, ...]) -> tuple[Slot, ...]:
-    """Renumber segment labels in first-occurrence order."""
-    mapping: dict[int, int] = {}
-    out = []
-    for deg, lab in slots:
-        if deg == 2:
-            out.append(_SATURATED)
-        else:
-            if lab not in mapping:
-                mapping[lab] = len(mapping) + 1
-            slot = (deg, mapping[lab])
-            out.append(_OPEN_SLOTS.setdefault(slot, slot))
-    return tuple(out)
+_SLOTS: dict[Slot, Slot] = {}  # interned, so stored profiles share slots
 
 
 def _attach_choices(slots: tuple[Slot, ...]) -> Iterator[tuple[int, ...]]:
@@ -68,32 +52,33 @@ def _attach_choices(slots: tuple[Slot, ...]) -> Iterator[tuple[int, ...]]:
     for i in open_idx:
         yield (i,)
     for a, i in enumerate(open_idx):
+        off = slots[i][1]
         for j in open_idx[a + 1 :]:
-            if slots[i][1] != slots[j][1]:
+            if j - i != off:  # j is not the other end of i's segment
                 yield (i, j)
 
 
 def _apply_attach(slots: tuple[Slot, ...], choice: tuple[int, ...]) -> list[Slot]:
-    """Attach the new value to the chosen open ends and append its slot."""
+    """Attach the new value to the chosen open ends and append its slot.
+    Besides the chosen slots, only the two ends of the merged segment
+    change: they now point at each other."""
     work = list(slots)
-    if len(choice) == 0:
-        new_slot = (0, 0)  # open ends carry labels >= 1, so 0 is a fresh segment
-    elif len(choice) == 1:
-        i = choice[0]
-        deg, lab = work[i]
-        work[i] = (1, lab) if deg == 0 else _SATURATED
-        new_slot = (1, lab)
-    else:
-        i, j = choice
-        lab_i, lab_j = work[i][1], work[j][1]
-        for t, (deg, lab) in enumerate(work):
-            if deg < 2 and lab == lab_j:
-                work[t] = (deg, lab_i)
-        for t in (i, j):
-            deg, lab = work[t]
-            work[t] = (1, lab) if deg == 0 else _SATURATED
-        new_slot = _SATURATED
-    work.append(new_slot)
+    if not choice:
+        work.append((0, 0))
+        return work
+    work.append((len(choice), None))
+    ends = []  # the other end of each chosen slot's segment; None if it left
+    for i in choice:
+        deg, off = work[i]
+        work[i] = (deg + 1, None)  # a lone value is its own other end: reset below
+        ends.append(None if off is None else i + off)
+    if len(ends) == 1:
+        ends.append(len(slots))  # the new value ends the segment
+    a, b = ends
+    if a is not None:
+        work[a] = (work[a][0], None if b is None else b - a)
+    if b is not None:
+        work[b] = (work[b][0], None if a is None else a - b)
     return work
 
 
@@ -121,12 +106,14 @@ def _successors(profile: Profile, k: int, pinned: bool, free: bool) -> Iterator[
                 continue
         new = _apply_attach(slots, choice)
         if leaving:
-            (_, lab), new = new[0], new[1:]
+            off = new.pop(0)[1]
             if deg == 1:
                 new_closed += 1
-                if all(l != lab for d, l in new if d < 2) and any(d < 2 for d, _ in new):
+                if off is not None:
+                    new[off - 1] = (new[off - 1][0], None)  # its partner's other end left
+                elif any(d < 2 for d, _ in new):
                     continue  # path sealed while another segment is still open
-        yield canonicalize(new), new_closed
+        yield tuple([_SLOTS.setdefault(slot, slot) for slot in new]), new_closed
 
 
 def _finishes(profile: Profile, designated: int | None) -> bool:
@@ -252,7 +239,7 @@ def term_table_stats(k, variant: Variant, max_n: int) -> tuple[CountTable, int]:
 
 
 def state_space_size(k) -> int:
-    """Number of distinct reachable canonical profiles under the anchored
+    """Number of distinct reachable profiles under the anchored
     variant: the warm-up profiles plus the steady closure."""
     kk = check_args(k)
     graph = _graph(kk, False)

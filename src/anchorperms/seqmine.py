@@ -59,7 +59,12 @@ def find_recurrence(terms: Sequence[int], max_order: int) -> Recurrence | None:
     r = deg C, n0 = L + 1. It is returned only if its terms() reproduce the
     window, r <= max_order, L - r <= max_order and L + r < len(terms);
     else None. A window shorter than 2 * L may hide a lower-order fit with
-    a longer transient."""
+    a longer transient.
+
+    The 2 * max_order + 4 terms the window must hold determine a register
+    uniquely only if L <= max_order + 2. A recurrence whose order plus
+    transient exceeds half the window can therefore come back None,
+    meaning "not determined by this window", not "no such recurrence"."""
     terms = list(terms)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -136,7 +141,10 @@ def conjecture_probe(
 ) -> ProbeReport | None:
     """Mine a recurrence from DP-generated anchored counts and validate it
     on held-out DP terms. None when no recurrence of the allowed order
-    fits the mining window."""
+    fits the mining window. A holdout below 1 would check nothing, so it
+    raises ValueError before any DP work."""
+    if holdout < 1:
+        raise ValueError("holdout must be >= 1")
     if max_order is None:
         max_order = (terms_n - 4) // 2
     all_terms = term_table(k, ANCHORED, terms_n + holdout).values()

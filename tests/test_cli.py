@@ -221,6 +221,14 @@ def test_mine_insufficient_data_is_usage_error(capsys):
     assert "insufficient data" in err
 
 
+@pytest.mark.parametrize("holdout", ["0", "-1"])
+def test_mine_holdout_below_one_is_usage_error(capsys, holdout):
+    code, out, err = run(capsys, "mine", "--k", "3", "--terms", "40", "--holdout", holdout)
+    assert code == 2
+    assert out == ""
+    assert "holdout must be >= 1" in err
+
+
 def test_verify_suites_pass(capsys):
     for suite in ("lemma2", "lemma33", "fgh", "recurrences", "gf"):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "10")

@@ -125,9 +125,17 @@ def test_term_table_single_sweep_consistent_with_pointwise():
 
 
 def test_term_table_stats_reports_peak():
-    t, peak = term_table_stats(3, ANCHORED, 30)
+    t, _ = term_table_stats(3, ANCHORED, 30)
     assert t.values() == k3_table(30)
-    assert peak >= 1
+    # Peak profile counts at n = 30 for k = 1..6. Two encodings of one
+    # state that compared unequal would count it twice and raise these.
+    frozen = [
+        (ANCHORED, [1, 4, 15, 56, 215, 852]),
+        (FREE, [1, 7, 37, 151, 601, 2424]),
+        (endpoints(2, 3), [1, 2, 16, 68, 276, 1137]),
+    ]
+    for variant, peaks in frozen:
+        assert [term_table_stats(k, variant, 30)[1] for k in range(1, 7)] == peaks, variant
 
 
 def test_term_table_stats_validates_like_term_table():
@@ -139,7 +147,7 @@ def test_term_table_stats_validates_like_term_table():
 
 
 def test_state_space_sizes_frozen():
-    assert [state_space_size(k) for k in range(1, 6)] == [3, 8, 26, 95, 365]
+    assert [state_space_size(k) for k in range(1, 8)] == [3, 8, 26, 95, 365, 1438, 5802]
 
 
 def test_state_space_sizes_frozen_after_other_sweeps():

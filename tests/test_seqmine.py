@@ -156,3 +156,15 @@ def test_conjecture_probe_k4():
     assert report.state_space_size == 95
     assert report.gf.denominator[0] == 1
     assert len(report.gf.denominator) == report.order + 1
+
+
+@pytest.mark.parametrize("holdout", [0, -1])
+def test_conjecture_probe_rejects_a_holdout_below_one(holdout, monkeypatch):
+    # Zero held-out terms would match vacuously; a negative count would
+    # silently shorten the mining window. Neither reaches the DP.
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr("anchorperms.seqmine.term_table", no_dp)
+    with pytest.raises(ValueError, match="holdout must be >= 1"):
+        conjecture_probe(3, terms_n=40, holdout=holdout)

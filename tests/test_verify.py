@@ -2,7 +2,8 @@ from importlib import resources
 
 from anchorperms import verify
 from anchorperms.backtrack import count_brute, count_classes_fgh
-from anchorperms.core import ANCHORED
+from anchorperms.core import ANCHORED, LemmaViolationError
+from anchorperms.structure import classify_departure
 
 
 def test_depth8_check_reads_brute_force_values(monkeypatch):
@@ -30,6 +31,21 @@ def test_fgh_checks_read_brute_force_values(monkeypatch):
     assert named["F recurrence at n=10"] is False
     early = [ok for name, ok in checks if "n=" in name and int(name.split("n=")[1]) <= 8]
     assert len(early) == 12 and all(early)
+
+
+def test_lemma33_counterexample_fails_its_check(monkeypatch):
+    # A departure that fits neither pattern is a FAIL for its n, not an
+    # exception out of the suite.
+    def fails_on_one(p, i):
+        if p.entries == (1, 4, 2, 5, 3, 6) and i == 1:
+            raise LemmaViolationError("not Joker, not cascading")
+        return classify_departure(p, i)
+
+    monkeypatch.setattr(verify, "classify_departure", fails_on_one)
+    checks = verify.suite_lemma33(7)
+    failed = [name for name, ok in checks if not ok]
+    assert failed == ["lemma 3.3 dichotomy holds on full sweep, n=6"]
+    assert len(checks) == 14
 
 
 def test_oeis_check_names_the_source_of_its_b_file(tmp_path, monkeypatch):
