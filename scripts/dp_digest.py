@@ -2,11 +2,14 @@
 """Print one sha256 over the profile DP's outputs for k = 1..7.
 
 It hashes each term table and its peak profile count: anchored to
-n = 60, free to n = 40, and a fixed set of endpoint pairs to n = 24. It
-also hashes `state_space_size(k)`. Two checkouts that print the same
-digest produce the same counts and the same state counts on all of them,
-so a change to the DP's internals can be checked with one command on
-each side (about 5 s):
+n = 60, free to n = 40, and a fixed set of endpoint pairs to n = 24.
+Before those, each k runs an interleaved block on its cold graph: each
+request follows other variants' sweeps on that graph, so it starts
+cold, resumes or replays a stored sweep. It also hashes
+`state_space_size(k)`. Two checkouts that print the same digest produce
+the same counts and the same state counts on all of them, so a change to
+the DP's internals can be checked with one command on each side (about
+5 s):
 
     PYTHONPATH=src python3 scripts/dp_digest.py
 """
@@ -25,12 +28,14 @@ ENDPOINT_PAIRS = (
     (7, 2), (5, 9), (9, 5), (1, 12), (12, 1), (8, 10), (10, 8), (3, 11), (11, 3), (6, 13),
 )
 REQUESTS = [(ANCHORED, 60), (FREE, 40)] + [(endpoints(s, e), 24) for s, e in ENDPOINT_PAIRS]
+INTERLEAVED = [(ANCHORED, 30), (FREE, 20), (ANCHORED, 60), (FREE, 40), (endpoints(2, 3), 24),
+               (ANCHORED, 45)]
 
 
 def records():
     """(label, data) for every table and state count, in a fixed order."""
     for k in KS:
-        for variant, max_n in REQUESTS:
+        for variant, max_n in INTERLEAVED + REQUESTS:
             table, peak = term_table_stats(k, variant, max_n)
             yield f"k={k} {variant.kind} {variant.ends(max_n)}", [table.values(), peak]
     yield "state_space_size", [state_space_size(k) for k in KS]

@@ -79,6 +79,8 @@ class Variant:
         if self.kind == "endpoints":
             if self.start is None or self.end is None:
                 raise ValueError("endpoints variant requires start and end")
+            for value in (self.start, self.end):
+                _check_int(value, "endpoint values must be ints")
         elif self.start is not None or self.end is not None:
             raise ValueError(f"{self.kind} variant takes no endpoint values")
 
@@ -146,13 +148,16 @@ class CountTable:
         return [self.terms[i] for i in sorted(self.terms)]
 
 
+def _check_int(value, message: str) -> int:
+    """The value if it is an int; anything else, a bool too, raises rather than truncates."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{message}, not {value!r}")
+    return value
+
+
 def norm_k(k: GapSpec | int) -> int:
-    """The gap bound as a plain int, from a GapSpec or an int; anything
-    else (a float, a string, a bool) is rejected, never truncated."""
-    kk = k.k if isinstance(k, GapSpec) else k
-    if not isinstance(kk, int) or isinstance(kk, bool):
-        raise ValueError(f"k must be an int or a GapSpec, not {k!r}")
-    return kk
+    """The gap bound as a plain int, from a GapSpec or an int."""
+    return _check_int(k.k if isinstance(k, GapSpec) else k, "k must be an int or a GapSpec")
 
 
 def check_args(k: GapSpec | int, n: int = 1, variant: Variant = FREE) -> int:
@@ -161,6 +166,7 @@ def check_args(k: GapSpec | int, n: int = 1, variant: Variant = FREE) -> int:
     kk = norm_k(k)
     if kk < 1:
         raise ValueError("k must be >= 1")
+    _check_int(n, "n must be an int")
     if n < 1:
         raise ValueError("n must be >= 1")
     variant.check_range(n)

@@ -30,26 +30,18 @@ def poly_mul(a: list, b: list) -> list:
     return trim(out)
 
 
-def poly_sub(a: list, b: list) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    return trim(out)
-
-
 def poly_divmod(a: list, b: list) -> tuple[list, list]:
     """Exact division with remainder over Q."""
     b = trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(x) for x in a]
-    r = trim(r)
+    r = trim([Fraction(x) for x in a])
     q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
     while len(r) >= len(b):
         shift = len(r) - len(b)
-        c = Fraction(r[-1], b[-1])
-        q[shift] = c
-        r = poly_sub(r, poly_mul([Fraction(0)] * shift + [c], b))
+        c = q[shift] = Fraction(r[-1], b[-1])
+        for j, y in enumerate(b):
+            r[shift + j] -= c * y  # subtract c * x^shift * b
         r = trim(r)
     return trim(q), r
 

@@ -12,18 +12,18 @@ equal states are equal tuples by construction.
 
 Profiles for a fixed k form a finite set, which is what makes the
 generating function provably rational for every k via the transfer-matrix
-method. The engine compiles that matrix lazily, once per (k, free) in a
-process: a profile gets an integer id when first reached; its successor ids
-and whether it finishes a path are computed once, and a step is
-``nxt[dst] += cur[src]`` over those edges. No
-edge needs a multiplicity: the new value's degree and the degrees left in
-the window determine which open ends it attached to.
+method. The engine compiles that matrix lazily, once per k in a process:
+a profile gets an integer id when first reached; its successor ids under
+each leaving rule (the degrees the oldest value may leave with) and
+whether it finishes a path are computed once, and a step is
+``nxt[dst] += cur[src]`` over those edges. No edge needs a multiplicity:
+the new value's degree and the degrees left in the window determine which
+open ends it attached to.
 
-Row n of a sweep does not depend on how far the sweep goes: `free` depends
-only on the variant's kind, and the pinned flag and finish mask read only
-``variant.ends(n)``. So each graph keeps its last sweep's rows and final
-profile counts, and a later sweep of the same variant replays those rows
-and steps on from there.
+Row n of a sweep does not depend on how far the sweep goes: its leaving
+rules and finish mask read only the variant's kind and ``variant.ends(n)``.
+So each graph keeps, per variant kind, the last sweep's rows and final
+profile counts, and a later sweep of that variant replays them and steps on.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ Profile = tuple[tuple[Slot, ...], int]
 
 _START: Profile = ((), 0)
 _SLOTS: dict[Slot, Slot] = {}  # interned, so stored profiles share slots
+# Leaving rules: bit d is set if the oldest value may leave with degree d.
+# A pinned value ends the path, any other is interior; free allows either.
+END, INTERIOR, EITHER = 0b010, 0b100, 0b110
 
 
 def _attach_choices(slots: tuple[Slot, ...]) -> Iterator[tuple[int, ...]]:
@@ -86,10 +89,10 @@ def _open_ends(slots: tuple[Slot, ...]) -> int:
     return sum(2 - deg for deg, _ in slots if deg < 2)
 
 
-def _successors(profile: Profile, k: int, pinned: bool, free: bool) -> Iterator[Profile]:
+def _successors(profile: Profile, k: int, leave: int) -> Iterator[Profile]:
     """Profiles reached by placing the next value, one per attachment.
-    When the window is full its oldest value leaves: it must end the path
-    if `pinned`, else be interior; in the free variant either is fine."""
+    When the window is full its oldest value leaves with a degree the
+    leaving rule allows, and as a path endpoint only while one is left."""
     slots, closed = profile
     if closed == 2 and not _open_ends(slots):
         return  # a complete path: any further value would stay isolated
@@ -98,11 +101,7 @@ def _successors(profile: Profile, k: int, pinned: bool, free: bool) -> Iterator[
         new_closed = closed
         if leaving:
             deg = slots[0][0] + (0 in choice)  # the leaving value's degree
-            if deg == 0:
-                continue  # isolated value can never rejoin the path
-            if deg == 2 and pinned and not free:
-                continue  # pinned endpoint became interior
-            if deg == 1 and (not pinned or closed == 2):
+            if not leave >> deg & 1 or deg == 1 and closed == 2:
                 continue
         new = _apply_attach(slots, choice)
         if leaving:
@@ -130,37 +129,37 @@ class _Graph:
     """The transfer matrix for fixed k, compiled lazily: profiles indexed
     in first-reached order, each edge list and finish flag computed once."""
 
-    def __init__(self, k: int, free: bool):
-        self.k, self.free = k, free
+    def __init__(self, k: int):
+        self.k = k
         self.ids: dict[Profile, int] = {}
         self.profiles: list[Profile] = []
-        self._edges: tuple[list, list] = ([], [])  # [pinned][pid] -> successor ids or None
+        self._edges: dict[int, list] = {END: [], INTERIOR: [], EITHER: []}  # [rule][pid]
         self._finish: dict[int | None, bytearray] = {}  # 0 unknown, 1 no, 2 yes
-        # The last sweep run on this graph: (variant, rows, profile counts
-        # after the last row). Its rows list belongs to that sweep alone.
-        self.last: tuple[Variant, list[tuple[int, int, int]], dict[int, int]] | None = None
+        # Variant kind -> the last sweep of that kind: (variant, rows, profile
+        # counts after the last row). Its rows list belongs to that sweep alone.
+        self.last: dict[str, tuple[Variant, list[tuple[int, int, int]], dict[int, int]]] = {}
 
     def index(self, profile: Profile) -> int:
         pid = self.ids.get(profile)
         if pid is None:
             pid = self.ids[profile] = len(self.profiles)
             self.profiles.append(profile)
-            for edges in self._edges:
+            for edges in self._edges.values():
                 edges.append(None)
         return pid
 
-    def edges(self, pid: int, pinned: bool) -> tuple[int, ...]:
-        out = self._edges[pinned][pid]
+    def edges(self, pid: int, leave: int) -> tuple[int, ...]:
+        out = self._edges[leave][pid]
         if out is None:
-            successors = _successors(self.profiles[pid], self.k, pinned, self.free)
-            out = self._edges[pinned][pid] = tuple(map(self.index, successors))
+            successors = _successors(self.profiles[pid], self.k, leave)
+            out = self._edges[leave][pid] = tuple(map(self.index, successors))
         return out
 
-    def step(self, cur: dict[int, int], pinned: bool) -> dict[int, int]:
+    def step(self, cur: dict[int, int], leave: int) -> dict[int, int]:
         nxt: dict[int, int] = {}
         get = nxt.get
         for src, cnt in cur.items():
-            for dst in self.edges(src, pinned):
+            for dst in self.edges(src, leave):
                 nxt[dst] = get(dst, 0) + cnt
         return nxt
 
@@ -174,25 +173,24 @@ class _Graph:
 
 
 @lru_cache(maxsize=16)
-def _graph(k: int, free: bool) -> _Graph:
-    """The graph for (k, free), shared by every sweep: successors depend only
-    on (profile, k, pinned, free) and finish flags are keyed by the
-    designated mask, so anchored and endpoints variants share free=False."""
-    return _Graph(k, free)
+def _graph(k: int) -> _Graph:
+    """The graph for k, shared by every sweep of every variant: edge lists
+    are keyed by the leaving rule and finish flags by the designated mask."""
+    return _Graph(k)
 
 
 def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int]]:
     """Yield (n, count, peak) for n = 1..max_n from one incremental sweep;
     peak is the largest number of simultaneous profiles so far. Rows the
-    graph's last sweep of this variant reached are replayed, not stepped.
-    The arguments are checked at the call; the graph's last sweep is read
-    at the first row."""
+    graph's last sweep of this variant's kind reached are replayed, not
+    stepped, if it swept this variant. The arguments are checked at the
+    call; that last sweep is read at the first row."""
     kk = check_args(k, max_n, variant)
     free = not variant.ends(max_n)
 
     def stream() -> Iterator[tuple[int, int, int]]:
-        graph = _graph(kk, free)
-        last = graph.last
+        graph = _graph(kk)
+        last = graph.last.get(variant.kind)
         if last is not None and last[0] == variant:
             rows, cur = last[1][:max_n], last[2]  # a copy: this sweep may append
             yield from rows
@@ -201,7 +199,7 @@ def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int
             rows, cur, peak = [], {graph.index(_START): 1}, 1
         for n in range(len(rows) + 1, max_n + 1):
             ends = variant.ends(n)
-            cur = graph.step(cur, free or n - kk in ends)
+            cur = graph.step(cur, EITHER if free else END if n - kk in ends else INTERIOR)
             peak = max(peak, len(cur))
             lo = max(1, n - kk + 1)  # the value in the window's first slot
             mask = None if free else sum(1 << (u - lo) for u in ends if u >= lo)
@@ -212,7 +210,7 @@ def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int
             else:
                 count = graph.finished(cur, mask) * (2 if free else 1)
             rows.append((n, count, peak))
-            graph.last = (variant, rows, cur)
+            graph.last[variant.kind] = (variant, rows, cur)
             yield n, count, peak
 
     return stream()
@@ -242,18 +240,18 @@ def state_space_size(k) -> int:
     """Number of distinct reachable profiles under the anchored
     variant: the warm-up profiles plus the steady closure."""
     kk = check_args(k)
-    graph = _graph(kk, False)
+    graph = _graph(kk)
     cur = {graph.index(_START): 1}
     warm_up = set(cur)
     for v in range(1, kk + 2):
-        cur = graph.step(cur, v - kk == 1)
+        cur = graph.step(cur, END if v - kk == 1 else INTERIOR)
         warm_up |= cur.keys()
     # Value 1 has left the window; no later leaving value is pinned, so all
     # later steps follow the same edges. The shared graph may also hold ids
-    # only endpoints sweeps reach, so count what this rule reaches.
+    # only free or endpoints sweeps reach, so count what this rule reaches.
     seen, todo = set(cur), list(cur)
     while todo:
-        new = set(graph.edges(todo.pop(), False)) - seen
+        new = set(graph.edges(todo.pop(), INTERIOR)) - seen
         seen |= new
         todo += new
     return len(warm_up | seen)

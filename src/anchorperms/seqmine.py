@@ -50,6 +50,16 @@ def _berlekamp_massey(terms: list[int], p: int) -> tuple[list[int], int]:
     return (c + [0] * length)[: length + 1], length
 
 
+def _check_window(n_terms: int, max_order: int) -> None:
+    """A mining window must hold 2 * max_order + 4 terms, max_order >= 1."""
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    if n_terms < 2 * max_order + 4:
+        raise InsufficientDataError(
+            f"need at least {2 * max_order + 4} terms for max_order={max_order}, got {n_terms}"
+        )
+
+
 def find_recurrence(terms: Sequence[int], max_order: int) -> Recurrence | None:
     """Minimal-order integer linear recurrence fitting the terms.
 
@@ -66,13 +76,7 @@ def find_recurrence(terms: Sequence[int], max_order: int) -> Recurrence | None:
     transient exceeds half the window can therefore come back None,
     meaning "not determined by this window", not "no such recurrence"."""
     terms = list(terms)
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    if len(terms) < 2 * max_order + 4:
-        raise InsufficientDataError(
-            f"need at least {2 * max_order + 4} terms for max_order={max_order}, "
-            f"got {len(terms)}"
-        )
+    _check_window(len(terms), max_order)
     modulus, residues, length = 1, [], -1
     for p in _PRIMES:
         conn, L = _berlekamp_massey(terms, p)
@@ -141,12 +145,12 @@ def conjecture_probe(
 ) -> ProbeReport | None:
     """Mine a recurrence from DP-generated anchored counts and validate it
     on held-out DP terms. None when no recurrence of the allowed order
-    fits the mining window. A holdout below 1 would check nothing, so it
-    raises ValueError before any DP work."""
+    fits the mining window. The holdout (a holdout below 1 would check
+    nothing) and the window are checked before any DP work."""
     if holdout < 1:
         raise ValueError("holdout must be >= 1")
-    if max_order is None:
-        max_order = (terms_n - 4) // 2
+    max_order = max(1, (terms_n - 4) // 2) if max_order is None else max_order
+    _check_window(terms_n, max_order)
     all_terms = term_table(k, ANCHORED, terms_n + holdout).values()
     mine_terms = all_terms[:terms_n]
     rec = find_recurrence(mine_terms, max_order)

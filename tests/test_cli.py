@@ -219,6 +219,11 @@ def test_mine_insufficient_data_is_usage_error(capsys):
     )
     assert code == 2
     assert "insufficient data" in err
+    # At the default order, a window too short for order 1 reads the same.
+    code, out, err = run(capsys, "mine", "--k", "3", "--terms", "5", "--holdout", "2")
+    assert code == 2
+    assert out == ""
+    assert "insufficient data" in err
 
 
 @pytest.mark.parametrize("holdout", ["0", "-1"])

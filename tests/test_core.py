@@ -113,6 +113,28 @@ def test_k_must_be_an_int_or_a_gap_spec(k):
     assert check_args(GapSpec(3)) == check_args(3) == 3
 
 
+@pytest.mark.parametrize("n", [5.0, True, "5"])
+def test_n_and_pinned_values_must_be_ints(n):
+    # Checked like k: at True every method used to return the n = 1 count,
+    # and a float failed differently in each.
+    from anchorperms.backtrack import count_brute
+    from anchorperms.closed_form import closed_count
+    from anchorperms.profile_dp import count_dp, term_table
+
+    for call in (
+        lambda: count_dp(2, n),
+        lambda: term_table(2, ANCHORED, n),
+        lambda: count_brute(2, n),
+        lambda: closed_count(2, n),
+        lambda: check_args(2, n),
+    ):
+        with pytest.raises(ValueError, match="n must be an int"):
+            call()
+    for start in (1.0, True):
+        with pytest.raises(ValueError, match="endpoint values must be ints"):
+            endpoints(start, 3)
+
+
 def test_count_table_contiguity():
     with pytest.raises(ValueError):
         CountTable(k=2, variant=ANCHORED, terms={1: 1, 3: 1})

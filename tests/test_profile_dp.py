@@ -151,9 +151,9 @@ def test_state_space_sizes_frozen():
 
 
 def test_state_space_sizes_frozen_after_other_sweeps():
-    # Endpoint sweeps share the anchored graph and reach profiles the
-    # anchored rule never does; free sweeps have their own graph. Neither
-    # may count toward the state space.
+    # Free and endpoints sweeps share the anchored graph and reach profiles
+    # the anchored rule never does. Those may not count toward the state
+    # space.
     for k in range(1, 6):
         term_table(k, FREE, 9)
         for s, e in ((2, 3), (3, 2), (4, 6), (5, 2)):
@@ -239,11 +239,12 @@ def test_results_do_not_depend_on_call_order():
 
 # Each sweep below is the first of its variant on its graph in a fresh
 # interpreter, so none of its rows is replayed or resumed.
-RESUMED = endpoints(3, 1)
+RESUMED, PINNED = endpoints(3, 1), endpoints(2, 3)
 FRESH_SWEEPS = [
     (sweep_terms, (4, RESUMED, 14)),
     (sweep_terms, (5, ANCHORED, 12)),
-    (sweep_terms, (5, endpoints(2, 3), 12)),
+    (sweep_terms, (5, PINNED, 12)),
+    (sweep_terms, (5, FREE, 12)),
 ]
 
 
@@ -255,7 +256,7 @@ def fresh():
     out = {}
     for (_, (k, variant, _)), sweep in zip(FRESH_SWEEPS, rows):
         for n, count, _ in sweep[:8]:
-            if max(variant.ends(n)) <= n:
+            if max(variant.ends(n), default=n) <= n:
                 assert count == count_brute(k, n, variant), (k, variant, n)
         out[k, variant] = sweep
     return out
@@ -266,8 +267,9 @@ def _rows(k, variant, max_n):
 
 
 def _start_cold(k):
-    # A sweep of another variant takes the graph's one stored sweep.
-    count_dp(k, 2, ANCHORED)
+    # A sweep of another endpoints variant takes the graph's stored sweep of
+    # that kind, so the next RESUMED sweep starts from n = 1.
+    count_dp(k, 2, endpoints(2, 1))
 
 
 def test_replayed_and_resumed_sweeps_equal_a_fresh_one(fresh):
@@ -304,12 +306,14 @@ def test_abandoned_sweep_then_a_longer_table(fresh):
 
 
 def test_variants_taking_turns_on_the_shared_graph(fresh):
-    anchored, pinned = fresh[5, ANCHORED], fresh[5, endpoints(2, 3)]
-    assert _rows(5, ANCHORED, 12) == anchored
-    assert _rows(5, endpoints(2, 3), 12) == pinned
-    assert _rows(5, ANCHORED, 9) == anchored[:9]
-    assert _rows(5, ANCHORED, 12) == anchored
-    assert _rows(5, endpoints(2, 3), 10) == pinned[:10]
+    # Free, anchored and pinned sweeps of one k share one graph, which keeps
+    # the last sweep of each variant kind. In a fresh interpreter, each of
+    # them starts cold (9), resumes (12) and replays (10) while the other
+    # two take turns between its requests.
+    turns = [(variant, max_n) for max_n in (9, 12, 10) for variant in (FREE, ANCHORED, PINNED)]
+    rows = _run_in_fresh_interpreter("forward", [(sweep_terms, (5, *turn)) for turn in turns])
+    for (variant, max_n), sweep in zip(turns, rows):
+        assert sweep == fresh[5, variant][:max_n], (variant, max_n)
 
 
 def test_invalid_arguments():

@@ -158,13 +158,32 @@ def test_conjecture_probe_k4():
     assert len(report.gf.denominator) == report.order + 1
 
 
-@pytest.mark.parametrize("holdout", [0, -1])
-def test_conjecture_probe_rejects_a_holdout_below_one(holdout, monkeypatch):
-    # Zero held-out terms would match vacuously; a negative count would
-    # silently shorten the mining window. Neither reaches the DP.
-    def no_dp(*args):
+@pytest.fixture
+def no_dp(monkeypatch):
+    def term_table(*args):
         raise AssertionError("the DP ran")
 
-    monkeypatch.setattr("anchorperms.seqmine.term_table", no_dp)
+    monkeypatch.setattr("anchorperms.seqmine.term_table", term_table)
+
+
+@pytest.mark.parametrize("holdout", [0, -1])
+def test_conjecture_probe_rejects_a_holdout_below_one(holdout, no_dp):
+    # Zero held-out terms would match vacuously; a negative count would
+    # silently shorten the mining window. Neither reaches the DP.
     with pytest.raises(ValueError, match="holdout must be >= 1"):
         conjecture_probe(3, terms_n=40, holdout=holdout)
+
+
+@pytest.mark.parametrize(
+    "terms_n, max_order, error, message",
+    [
+        (60, 40, InsufficientDataError, "need at least 84 terms"),
+        (40, 0, ValueError, "max_order must be >= 1"),
+        (5, None, InsufficientDataError, "need at least 6 terms for max_order=1"),
+    ],
+)
+def test_conjecture_probe_checks_the_window_before_the_dp(
+    terms_n, max_order, error, message, no_dp
+):
+    with pytest.raises(error, match=message):
+        conjecture_probe(7, terms_n, holdout=20, max_order=max_order)
