@@ -6,10 +6,10 @@ n = 60, free to n = 40, and a fixed set of endpoint pairs to n = 24.
 Before those, each k runs an interleaved block on its cold graph: each
 request follows other variants' sweeps on that graph, so it starts
 cold, resumes or replays a stored sweep. It also hashes
-`state_space_size(k)`. Two checkouts that print the same digest produce
-the same counts and the same state counts on all of them, so a change to
-the DP's internals can be checked with one command on each side (about
-5 s):
+`state_space_size(k)` for k = 1..8. Two checkouts that print the same
+digest produce the same counts and the same state counts on all of them,
+so a change to the DP's internals can be checked with one command on
+each side (about 6 s):
 
     PYTHONPATH=src python3 scripts/dp_digest.py
 """
@@ -38,7 +38,7 @@ def records():
         for variant, max_n in INTERLEAVED + REQUESTS:
             table, peak = term_table_stats(k, variant, max_n)
             yield f"k={k} {variant.kind} {variant.ends(max_n)}", [table.values(), peak]
-    yield "state_space_size", [state_space_size(k) for k in KS]
+    yield "state_space_size", [state_space_size(k) for k in (*KS, 8)]
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ first line names the source, "generated from closed_form.k3_table" or
 import argparse
 from pathlib import Path
 
-from anchorperms.closed_form import k3_table
+from anchorperms.closed_form import closed_table
 from anchorperms.oeis import SOURCE_TAG, bfile_url, fetch_terms, serialize_bfile
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "anchorperms" / "data"
@@ -30,7 +30,7 @@ def main() -> None:
         source, body = f"fetched from {bfile_url('A249665')}", serialize_bfile(table)
     else:
         source = "generated from closed_form.k3_table"
-        body = "".join(f"{n} {v}\n" for n, v in enumerate(k3_table(args.terms), start=1))
+        body = serialize_bfile(closed_table(3, args.terms))
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     (FIXTURE_DIR / "A249665.txt").write_text(f"{SOURCE_TAG}{source}\n{body}")
     print(f"wrote {FIXTURE_DIR / 'A249665.txt'}")

@@ -146,8 +146,8 @@ def brute_table(k, max_n: int, variant: Variant = ANCHORED) -> CountTable:
     """Brute-force counts for n = 1..max_n; the pinned ends are checked at
     max_n, and a length below a pinned value counts 0, as in term_table."""
     kk = check_args(k, max_n, variant)
-    terms = {
-        n: count_brute(kk, n, variant) if max(variant.ends(n), default=n) <= n else 0
+    counts = [
+        count_brute(kk, n, variant) if max(variant.ends(n), default=n) <= n else 0
         for n in range(1, max_n + 1)
-    }
-    return CountTable(k=kk, variant=variant, terms=terms, provenance="brute")
+    ]
+    return CountTable(k=kk, variant=variant, counts=counts, provenance="brute")

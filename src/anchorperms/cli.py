@@ -96,8 +96,8 @@ def cmd_table(args) -> int:
     if args.format == "bfile":
         sys.stdout.write(serialize_bfile(table))
     elif args.format == "csv":
-        for n in sorted(table.terms):
-            print(f"{n},{table[n]}")
+        for n, count in enumerate(table.values(), table.offset):
+            print(f"{n},{count}")
     else:
         print(
             json.dumps(

@@ -95,9 +95,7 @@ class RationalGF:
 
 
 def _table(k: int, variant: Variant, vals: list[int]) -> CountTable:
-    return CountTable(
-        k=k, variant=variant, terms=dict(enumerate(vals, start=1)), provenance="closed-form"
-    )
+    return CountTable(k=k, variant=variant, counts=vals, provenance="closed-form")
 
 
 K2_INITIAL = (1, 1, 1)

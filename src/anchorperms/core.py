@@ -116,36 +116,30 @@ def endpoints(start: int, end: int) -> Variant:
 
 @dataclass
 class CountTable:
-    """Exact counts indexed by n for a fixed (k, variant) pair."""
+    """Exact counts for n = offset, offset + 1, ... at a fixed (k, variant)
+    pair; a list, so the indices are contiguous by construction."""
 
     k: int
     variant: Variant
-    terms: dict[int, int] = field(default_factory=dict)
+    counts: list[int] = field(default_factory=list)
     provenance: str = "unknown"
     offset: int = 1
 
     def __post_init__(self):
-        self._check()
-
-    def _check(self) -> None:
-        if self.terms:
-            idx = sorted(self.terms)
-            if idx != list(range(idx[0], idx[-1] + 1)):
-                raise ValueError("term indices must be contiguous")
-            if idx[0] != self.offset:
-                raise ValueError(f"terms start at {idx[0]}, declared offset {self.offset}")
-            if any(v < 0 for v in self.terms.values()):
-                raise ValueError("counts must be nonnegative")
+        if any(v < 0 for v in self.counts):
+            raise ValueError("counts must be nonnegative")
 
     def __getitem__(self, n: int) -> int:
-        return self.terms[n]
+        if not self.offset <= n < self.offset + len(self.counts):
+            raise KeyError(n)  # a bare index would wrap offset - 1 to the last count
+        return self.counts[n - self.offset]
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.counts)
 
     def values(self) -> list[int]:
-        """Terms in index order."""
-        return [self.terms[i] for i in sorted(self.terms)]
+        """The counts in index order, as a copy."""
+        return list(self.counts)
 
 
 def _check_int(value, message: str) -> int:

@@ -59,8 +59,8 @@ def no_digit_limit():
 def parse_bfile(text: str) -> CountTable:
     """Parse OEIS b-file text into a CountTable, preserving the offset. The
     table's provenance is what the first `# source: ` line says."""
-    terms: dict[int, int] = {}
-    offset = prev = source = None
+    counts: list[int] = []
+    offset = source = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -75,18 +75,17 @@ def parse_bfile(text: str) -> CountTable:
                 idx, value = int(fields[0]), int(fields[1])
         except ValueError:
             raise BFileParseError(f"non-integer field in {line!r}", line_number) from None
-        if prev is not None and idx != prev + 1:
-            raise BFileParseError(
-                f"non-contiguous index {idx} after {prev}", line_number
-            )
         if offset is None:
             offset = idx
-        terms[idx] = value
-        prev = idx
+        elif idx != offset + len(counts):
+            raise BFileParseError(
+                f"non-contiguous index {idx} after {offset + len(counts) - 1}", line_number
+            )
+        counts.append(value)
     return CountTable(
         k=0,
         variant=FREE,
-        terms=terms,
+        counts=counts,
         provenance=source or "b-file, source not stated",
         offset=offset if offset is not None else 1,
     )
@@ -94,7 +93,7 @@ def parse_bfile(text: str) -> CountTable:
 
 def serialize_bfile(table: CountTable) -> str:
     with no_digit_limit():
-        return "".join(f"{i} {table[i]}\n" for i in sorted(table.terms))
+        return "".join(f"{i} {v}\n" for i, v in enumerate(table.values(), table.offset))
 
 
 def _cache_path(cache_dir: Path, sequence_id: str) -> Path:
@@ -161,23 +160,23 @@ class CompareReport:
 def _agreement(a: CountTable, b: CountTable, shift: int) -> tuple[int, int | None, int]:
     """(overlap, first mismatch index in a's indexing, leading agreement)
     comparing a[i] with b[i + shift]."""
-    lo = max(min(a.terms, default=0), min(b.terms, default=0) - shift)
-    hi = min(max(a.terms, default=-1), max(b.terms, default=-1) - shift)
-    overlap = max(0, hi - lo + 1)
-    mismatch = next((i for i in range(lo, hi + 1) if a[i] != b[i + shift]), None)
+    lo = max(a.offset, b.offset - shift)
+    hi = min(a.offset + len(a), b.offset + len(b) - shift)  # one past the last
+    overlap = max(0, hi - lo)
+    mismatch = next((i for i in range(lo, hi) if a[i] != b[i + shift]), None)
     return overlap, mismatch, overlap if mismatch is None else mismatch - lo
 
 
-def compare(a: CountTable, b: CountTable, shifts: range = range(-3, 4)) -> CompareReport:
-    """Compare overlapping terms, then search small offset shifts for the
+_SHIFTS = (0, -1, 1, -2, 2, -3, 3)  # -3..3 in tie-breaking order
+
+
+def compare(a: CountTable, b: CountTable) -> CompareReport:
+    """Compare overlapping terms, then search the shifts -3..3 for the
     longest leading agreement (reported, never silently applied); ties go
     to the smallest |shift|, the negative one first."""
-    if not shifts:
-        raise ValueError("compare needs at least one shift")
     overlap, mismatch, _ = _agreement(a, b, 0)
-    ordered = sorted(shifts, key=lambda s: (abs(s), s))
     (best_overlap, _, agreement), shift = max(
-        ((_agreement(a, b, s), s) for s in ordered), key=lambda run: run[0][2]
+        ((_agreement(a, b, s), s) for s in _SHIFTS), key=lambda run: run[0][2]
     )
     return CompareReport(
         overlap_length=overlap,

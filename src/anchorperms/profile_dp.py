@@ -13,15 +13,17 @@ equal states are equal tuples by construction.
 Profiles for a fixed k form a finite set, which is what makes the
 generating function provably rational for every k via the transfer-matrix
 method. The engine compiles that matrix lazily, once per k in a process:
-a profile gets an integer id when first reached; its successor ids under
-each leaving rule (the degrees the oldest value may leave with) and
-whether it finishes a path are computed once, and a step is
+a profile gets an integer id and its ends mask (the window slots that
+hold the ends of the complete path it forms, -1 if none) when first
+reached; its successor ids under each leaving rule (the degrees the oldest
+value may leave with) are computed once, and a step is
 ``nxt[dst] += cur[src]`` over those edges. No edge needs a multiplicity:
 the new value's degree and the degrees left in the window determine which
-open ends it attached to.
+open ends it attached to. Row n sums the profiles whose ends mask is the
+slots of the values pinned at n (any mask for a free variant).
 
 Row n of a sweep does not depend on how far the sweep goes: its leaving
-rules and finish mask read only the variant's kind and ``variant.ends(n)``.
+rules and designated slots read only the variant's kind and ``variant.ends(n)``.
 So each graph keeps, per variant kind, the last sweep's rows and final
 profile counts, and a later sweep of that variant replays them and steps on.
 """
@@ -115,26 +117,25 @@ def _successors(profile: Profile, k: int, leave: int) -> Iterator[Profile]:
         yield tuple([_SLOTS.setdefault(slot, slot) for slot in new]), new_closed
 
 
-def _finishes(profile: Profile, designated: int | None) -> bool:
-    """Whether the profile is one complete path if its newest value is n;
-    `designated` masks the window slots of pinned endpoints (None: free)."""
+def _ends_mask(profile: Profile) -> int:
+    """The mask of the window slots that hold the ends of the one complete
+    path the profile forms if its newest value is n; -1 if it forms none."""
     slots, closed = profile
-    return closed + _open_ends(slots) == 2 and all(
-        deg and (designated is None or (deg < 2) == (designated >> idx & 1))
-        for idx, (deg, _) in enumerate(slots)
-    )
+    if closed + _open_ends(slots) != 2 or not all(deg for deg, _ in slots):
+        return -1
+    return sum(1 << idx for idx, (deg, _) in enumerate(slots) if deg == 1)
 
 
 class _Graph:
     """The transfer matrix for fixed k, compiled lazily: profiles indexed
-    in first-reached order, each edge list and finish flag computed once."""
+    in first-reached order, each edge list and ends mask computed once."""
 
     def __init__(self, k: int):
         self.k = k
         self.ids: dict[Profile, int] = {}
         self.profiles: list[Profile] = []
         self._edges: dict[int, list] = {END: [], INTERIOR: [], EITHER: []}  # [rule][pid]
-        self._finish: dict[int | None, bytearray] = {}  # 0 unknown, 1 no, 2 yes
+        self.ends_mask: list[int] = []  # [pid]
         # Variant kind -> the last sweep of that kind: (variant, rows, profile
         # counts after the last row). Its rows list belongs to that sweep alone.
         self.last: dict[str, tuple[Variant, list[tuple[int, int, int]], dict[int, int]]] = {}
@@ -144,6 +145,7 @@ class _Graph:
         if pid is None:
             pid = self.ids[profile] = len(self.profiles)
             self.profiles.append(profile)
+            self.ends_mask.append(_ends_mask(profile))
             for edges in self._edges.values():
                 edges.append(None)
         return pid
@@ -157,25 +159,25 @@ class _Graph:
 
     def step(self, cur: dict[int, int], leave: int) -> dict[int, int]:
         nxt: dict[int, int] = {}
-        get = nxt.get
+        get, known = nxt.get, self._edges[leave]
         for src, cnt in cur.items():
-            for dst in self.edges(src, leave):
+            for dst in known[src] or self.edges(src, leave):
                 nxt[dst] = get(dst, 0) + cnt
         return nxt
 
     def finished(self, cur: dict[int, int], designated: int | None) -> int:
-        flags = self._finish.setdefault(designated, bytearray())
-        flags.extend(bytes(len(self.profiles) - len(flags)))
-        for pid in cur:
-            if not flags[pid]:
-                flags[pid] = 1 + _finishes(self.profiles[pid], designated)
-        return sum(cnt for pid, cnt in cur.items() if flags[pid] == 2)
+        """The count of complete paths whose ends are the designated window
+        slots (None: any slots, as in the free variant)."""
+        masks = self.ends_mask
+        if designated is None:
+            return sum(cnt for pid, cnt in cur.items() if masks[pid] >= 0)
+        return sum(cnt for pid, cnt in cur.items() if masks[pid] == designated)
 
 
 @lru_cache(maxsize=16)
 def _graph(k: int) -> _Graph:
     """The graph for k, shared by every sweep of every variant: edge lists
-    are keyed by the leaving rule and finish flags by the designated mask."""
+    are keyed by the leaving rule, and each profile has one ends mask."""
     return _Graph(k)
 
 
@@ -230,28 +232,24 @@ def term_table(k, variant: Variant = ANCHORED, max_n: int = 1) -> CountTable:
 
 def term_table_stats(k, variant: Variant, max_n: int) -> tuple[CountTable, int]:
     """term_table plus the peak number of simultaneous profiles."""
-    terms = {}
-    for n, count, peak in sweep_terms(k, variant, max_n):
-        terms[n] = count
-    return CountTable(k=norm_k(k), variant=variant, terms=terms, provenance="dp"), peak
+    counts = []
+    for _, count, peak in sweep_terms(k, variant, max_n):
+        counts.append(count)
+    return CountTable(k=norm_k(k), variant=variant, counts=counts, provenance="dp"), peak
 
 
 def state_space_size(k) -> int:
-    """Number of distinct reachable profiles under the anchored
-    variant: the warm-up profiles plus the steady closure."""
-    kk = check_args(k)
-    graph = _graph(kk)
-    cur = {graph.index(_START): 1}
-    warm_up = set(cur)
-    for v in range(1, kk + 2):
-        cur = graph.step(cur, END if v - kk == 1 else INTERIOR)
-        warm_up |= cur.keys()
-    # Value 1 has left the window; no later leaving value is pinned, so all
-    # later steps follow the same edges. The shared graph may also hold ids
-    # only free or endpoints sweeps reach, so count what this rule reaches.
-    seen, todo = set(cur), list(cur)
+    """Number of distinct profiles an anchored sweep reaches, by one walk of
+    the shared graph along that sweep's edge lists: only value 1 leaves by
+    END (a full window, no end left yet); every other step is INTERIOR."""
+    graph = _graph(check_args(k))
+    seen = {graph.index(_START)}
+    todo = list(seen)
     while todo:
-        new = set(graph.edges(todo.pop(), INTERIOR)) - seen
-        seen |= new
-        todo += new
-    return len(warm_up | seen)
+        pid = todo.pop()
+        slots, closed = graph.profiles[pid]
+        for dst in graph.edges(pid, INTERIOR if closed or len(slots) < graph.k else END):
+            if dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return len(seen)

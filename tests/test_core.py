@@ -136,12 +136,23 @@ def test_n_and_pinned_values_must_be_ints(n):
 
 
 def test_count_table_contiguity():
+    # A list of counts from the offset on has no gap and no wrong offset to
+    # reject; a negative count is still refused.
     with pytest.raises(ValueError):
-        CountTable(k=2, variant=ANCHORED, terms={1: 1, 3: 1})
-    with pytest.raises(ValueError):
-        CountTable(k=2, variant=ANCHORED, terms={1: -1})
-    t = CountTable(k=2, variant=ANCHORED, terms={1: 1, 2: 1, 3: 1})
-    assert t.values() == [1, 1, 1]
+        CountTable(k=2, variant=ANCHORED, counts=[1, -1])
+    t = CountTable(k=2, variant=ANCHORED, counts=[1, 1, 2], offset=3)
+    assert [t[n] for n in (3, 4, 5)] == t.values() == [1, 1, 2]
+    t.values().append(7)  # values() is a copy
+    assert len(t) == 3
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_count_table_index_out_of_range_raises_key_error(offset):
+    t = CountTable(k=2, variant=ANCHORED, counts=[5, 6, 7], offset=offset)
+    assert t[offset] == 5 and t[offset + 2] == 7
+    for n in (offset - 1, offset + 3):
+        with pytest.raises(KeyError):
+            t[n]
 
 
 @given(perms, st.integers(1, 6))
