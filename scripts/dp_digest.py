@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Print one sha256 over the profile DP's outputs for k = 1..7.
+"""Print one sha256 over the profile DP's and the miner's outputs.
 
-It hashes each term table and its peak profile count: anchored to
-n = 60, free to n = 40, and a fixed set of endpoint pairs to n = 24.
-Before those, each k runs an interleaved block on its cold graph: each
-request follows other variants' sweeps on that graph, so it starts
+It hashes each term table for k = 1..7 and its peak profile count:
+anchored to n = 60, free to n = 40, and a fixed set of endpoint pairs to
+n = 24. Before those, each k runs an interleaved block on its cold graph:
+each request follows other variants' sweeps on that graph, so it starts
 cold, resumes or replays a stored sweep. It also hashes
-`state_space_size(k)` for k = 1..8. Two checkouts that print the same
-digest produce the same counts and the same state counts on all of them,
-so a change to the DP's internals can be checked with one command on
-each side (about 6 s):
+`state_space_size(k)` for k = 1..8, and the (order, n0, coefficients), or
+None, that `find_recurrence` mines from a fixed set of windows: anchored
+k = 2..6, the k = 5 endpoint pairs the benchmark mines, and two windows
+too short to determine their register. Two checkouts that print the same
+digest produce the same counts, state counts and recurrences on all of
+them, so a change to the DP's or the miner's internals can be checked with
+one command on each side (about 10 s):
 
     PYTHONPATH=src python3 scripts/dp_digest.py
 """
@@ -18,7 +21,8 @@ import hashlib
 import json
 
 from anchorperms.core import ANCHORED, FREE, endpoints
-from anchorperms.profile_dp import state_space_size, term_table_stats
+from anchorperms.profile_dp import state_space_size, term_table, term_table_stats
+from anchorperms.seqmine import find_recurrence
 
 KS = range(1, 8)
 # Pairs with both ends low, with the start above the end, with both ends
@@ -30,6 +34,12 @@ ENDPOINT_PAIRS = (
 REQUESTS = [(ANCHORED, 60), (FREE, 40)] + [(endpoints(s, e), 24) for s, e in ENDPOINT_PAIRS]
 INTERLEAVED = [(ANCHORED, 30), (FREE, 20), (ANCHORED, 60), (FREE, 40), (endpoints(2, 3), 24),
                (ANCHORED, 45)]
+# Mining windows (k, variant, terms, max_order); None takes the default
+# bound of conjecture_probe. The last two are shorter than twice the
+# register (orders 114 and 438), so they mine None.
+MINED = [(k, ANCHORED, terms, None) for k, terms in ((2, 30), (3, 40), (4, 80), (5, 250), (6, 1000))]
+MINED += [(5, endpoints(s, e), 160, 70) for s, e in ((1, 4), (2, 4), (3, 4), (4, 1), (4, 2), (4, 3))]
+MINED += [(5, ANCHORED, 150, None), (6, ANCHORED, 800, None)]
 
 
 def records():
@@ -39,6 +49,11 @@ def records():
             table, peak = term_table_stats(k, variant, max_n)
             yield f"k={k} {variant.kind} {variant.ends(max_n)}", [table.values(), peak]
     yield "state_space_size", [state_space_size(k) for k in (*KS, 8)]
+    for k, variant, terms, max_order in MINED:
+        window = term_table(k, variant, terms).values()
+        rec = find_recurrence(window, max_order or max(1, (terms - 4) // 2))
+        mined = rec and [rec.order, rec.n0, list(rec.coefficients)]
+        yield f"mine k={k} {variant.kind} {variant.ends(terms)} terms={terms}", mined
 
 
 def main() -> None:

@@ -11,7 +11,6 @@ from .core import (
     endpoints,
     gaps,
     is_anchored,
-    is_blocked,
     is_k_bounded,
 )
 from .backtrack import count_brute, count_classes_fgh, enumerate_perms

@@ -42,9 +42,6 @@ class Permutation:
             raise IndexError(f"position {position} out of range 1..{self.n}")
         return self.entries[position - 1]
 
-    def reverse(self) -> "Permutation":
-        return Permutation(self.entries[::-1])
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
@@ -182,20 +179,3 @@ def gaps(p: Permutation | Sequence[int]) -> tuple[int, ...]:
     """Signed consecutive differences, in order. Empty for n = 1."""
     e = p.entries if isinstance(p, Permutation) else tuple(p)
     return tuple(e[i + 1] - e[i] for i in range(len(e) - 1))
-
-
-def is_blocked(prefix: Sequence[int], k: GapSpec | int, n: int) -> bool:
-    """True iff the last entry of the prefix has no unused continuation.
-
-    Every candidate within gap k of the last entry is either outside 1..n
-    or already used.
-    """
-    if not prefix:
-        raise ValueError("empty prefix has no last entry")
-    kk = norm_k(k)
-    used = set(prefix)
-    a = prefix[-1]
-    for v in range(max(1, a - kk), min(n, a + kk) + 1):
-        if v != a and v not in used:
-            return False
-    return True

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_P = (1 << 61) - 1
+# The Mersenne primes 2^89 - 1 and 2^521 - 1: the rungs seqmine's miner
+# climbs, and (the first) coprime_mod_p's modulus.
+PRIME_LADDER = ((1 << 89) - 1, (1 << 521) - 1)
 
 
 def trim(p: list) -> list:
@@ -62,25 +64,26 @@ def poly_gcd(a: list, b: list) -> list:
 def coprime_mod_p(a: list, b: list) -> bool:
     """Certificate that a and b (integer or rational) are coprime over Q.
 
-    True when p = 2^61 - 1 divides no coefficient denominator nor b's
+    True when p = 2^89 - 1 divides no coefficient denominator nor b's
     leading coefficient, and gcd(a mod p, b mod p) is a nonzero constant.
     By Gauss's lemma a common factor over Q would survive reduction mod p
     with its degree intact. False proves nothing; use poly_gcd then."""
+    p = PRIME_LADDER[0]
     a, b = trim(list(a)), trim(list(b))
-    if not b or b[-1].numerator % _P == 0 or any(x.denominator % _P == 0 for x in a + b):
+    if not b or b[-1].numerator % p == 0 or any(x.denominator % p == 0 for x in a + b):
         return False
 
     def mod_p(poly: list) -> list:
-        return trim([x.numerator * pow(x.denominator, -1, _P) % _P for x in poly])
+        return trim([x.numerator * pow(x.denominator, -1, p) % p for x in poly])
 
     u, v = mod_p(b), mod_p(a)
     while v:
-        inv = pow(v[-1], -1, _P)
+        inv = pow(v[-1], -1, p)
         while len(u) >= len(v):
-            c = u[-1] * inv % _P
+            c = u[-1] * inv % p
             shift = len(u) - len(v)
             for j, y in enumerate(v):
-                u[shift + j] = (u[shift + j] - c * y) % _P
+                u[shift + j] = (u[shift + j] - c * y) % p
             u = trim(u)
         u, v = v, u
     return len(u) == 1

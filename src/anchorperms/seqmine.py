@@ -4,11 +4,14 @@ This is the experimental probe for whether the anchored counting sequences
 have rational generating functions for every k, not just the proven k <= 3.
 
 The miner runs Berlekamp-Massey (BM; Massey 1969, "Shift-register
-synthesis and BCH decoding") mod a 61-bit prime, lifts the result to
-integers and accepts it only after an exact check on every term. The
-minimality certificate: an integer recurrence reduced mod p is a shift
-register of the same length, so the linear complexity mod p is at most the
-one over Q. With twice that many terms the shortest register is unique.
+synthesis and BCH decoding") mod a prime, lifts the result symmetrically to
+integers and accepts it only after an exact check on every term. It climbs
+a ladder of two Mersenne primes, 2^89 - 1 and then 2^521 - 1, so one pass
+lifts coefficients of up to 88 bits (k <= 6) and the second up to 520 bits
+(k = 7 needs 325). The minimality certificate: an integer recurrence
+reduced mod p is a shift register of the same length, so the linear
+complexity mod p is at most the one over Q. With twice that many terms the
+shortest register is unique.
 """
 
 from __future__ import annotations
@@ -19,11 +22,8 @@ from typing import Sequence
 
 from .core import ANCHORED
 from .closed_form import RationalGF, Recurrence
-from .polys import poly_mul, trim
+from .polys import PRIME_LADDER, poly_mul, trim
 from .profile_dp import state_space_size, term_table
-
-# 2^61 - 1 and the next three primes below it.
-_PRIMES = tuple((1 << 61) - d for d in (1, 31, 45, 229))
 
 
 class InsufficientDataError(ValueError):
@@ -74,30 +74,26 @@ def find_recurrence(terms: Sequence[int], max_order: int) -> Recurrence | None:
     The 2 * max_order + 4 terms the window must hold determine a register
     uniquely only if L <= max_order + 2. A recurrence whose order plus
     transient exceeds half the window can therefore come back None,
-    meaning "not determined by this window", not "no such recurrence"."""
+    meaning "not determined by this window", not "no such recurrence".
+
+    BM runs once per rung of PRIME_LADDER, and the first register whose
+    lift verifies is returned. A lift that fails climbs to the next rung
+    only if 2 * L <= len(terms), where the window determines the register
+    mod p; otherwise, or past the last rung, the result is None."""
     terms = list(terms)
     _check_window(len(terms), max_order)
-    modulus, residues, length = 1, [], -1
-    for p in _PRIMES:
+    for p in PRIME_LADDER:
         conn, L = _berlekamp_massey(terms, p)
-        if L < length:
-            continue  # unlucky prime: a longer register was already seen
-        if L > length:
-            modulus, residues, length = 1, [0] * (L + 1), L
-        # CRT the connection coefficients in, then lift symmetrically.
-        inv = pow(modulus, -1, p)
-        residues = [r + modulus * ((x - r) * inv % p) for r, x in zip(residues, conn)]
-        modulus *= p
-        lifted = [-r if r <= modulus // 2 else modulus - r for r in residues[1:]]
-        coeffs = tuple(trim(lifted))
-        if not coeffs:
-            continue  # C = 1: the terms are 0 mod p from n = L + 1 on
-        rec = Recurrence(coeffs, tuple(terms[:L]))
-        if all(a == b for a, b in zip(rec.terms(), terms)):
+        coeffs = tuple(trim([-x if x <= p // 2 else p - x for x in conn[1:]]))
+        # C = 1 (no coefficients): the terms are 0 mod p from n = L + 1 on.
+        rec = Recurrence(coeffs, tuple(terms[:L])) if coeffs else None
+        if rec and all(a == b for a, b in zip(rec.terms(), terms)):
             r = rec.order
             if max(r, L - r) > max_order or L + r >= len(terms):
                 return None
             return rec
+        if 2 * L > len(terms):
+            return None
     return None
 
 

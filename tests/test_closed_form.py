@@ -30,7 +30,7 @@ from anchorperms.closed_form import (
     k3_table,
 )
 from anchorperms.core import ANCHORED, CountTable, GapSpec
-from anchorperms.polys import coprime_mod_p, poly_gcd
+from anchorperms.polys import PRIME_LADDER, coprime_mod_p, poly_gcd
 
 
 def test_count_k1():
@@ -246,7 +246,7 @@ def test_rational_gf_reduced_preserves_value():
 
 
 def test_rational_gf_coprime_mod_p_falls_back_to_exact_gcd():
-    p = 2**61 - 1
+    p = PRIME_LADDER[0]
     # x p / (1 - x) vanishes mod p, so only the exact gcd can accept it.
     assert not coprime_mod_p([0, p], [1, -1])
     assert RationalGF((0, p), (1, -1)).numerator == (0, p)

@@ -13,7 +13,6 @@ from anchorperms.core import (
     endpoints,
     gaps,
     is_anchored,
-    is_blocked,
     is_k_bounded,
 )
 
@@ -39,17 +38,6 @@ def test_gaps_known_values():
     assert gaps(Permutation.identity(4)) == (1, 1, 1)
     assert gaps(Permutation((1, 4, 2, 5, 3, 6))) == (3, -2, 3, -2, 3)
     assert gaps(Permutation((1,))) == ()
-
-
-def test_is_blocked_known_values():
-    assert is_blocked((1, 3, 4, 6, 5, 2), 3, 8)
-    assert not is_blocked((1,), 1, 3)
-    assert not is_blocked((1, 4, 5, 6), 3, 9)
-
-
-def test_is_blocked_empty_prefix_errors():
-    with pytest.raises(ValueError):
-        is_blocked((), 2, 5)
 
 
 def test_permutation_rejects_non_bijections():
@@ -157,7 +145,7 @@ def test_count_table_index_out_of_range_raises_key_error(offset):
 
 @given(perms, st.integers(1, 6))
 def test_reversal_symmetry(p, k):
-    assert is_k_bounded(p, k) == is_k_bounded(p.reverse(), k)
+    assert is_k_bounded(p, k) == is_k_bounded(Permutation(p.entries[::-1]), k)
 
 
 @given(perms, st.integers(1, 6))

@@ -1,9 +1,13 @@
+import random
+from itertools import islice
+
 import pytest
 
 from anchorperms.closed_form import (
     K3_COEFFS, RationalGF, Recurrence, expand_gf, gf_k2, gf_k3, k2_table, k3_table,
 )
 from anchorperms.core import endpoints
+from anchorperms.polys import PRIME_LADDER
 from anchorperms.profile_dp import term_table
 from anchorperms.seqmine import (
     InsufficientDataError,
@@ -69,19 +73,53 @@ def test_modular_presearch_path_agrees_with_plain_scan():
 
 
 def test_coefficient_above_half_the_prime_is_lifted_exactly():
-    m = 2**62 + 3
-    rec = find_recurrence([m**n for n in range(1, 30)], max_order=5)
-    assert rec.order == 1
-    assert rec.coefficients == (m,)
+    # Both lifts fail on the first rung; the second lifts them.
+    for m in (2**88 + 3, 2**300 + 3):
+        rec = find_recurrence([m**n for n in range(1, 30)], max_order=5)
+        assert rec.order == 1
+        assert rec.coefficients == (m,)
+
+
+def test_coefficient_above_half_the_last_rung_is_not_lifted():
+    m = 2**520 + 3
+    assert find_recurrence([m**n for n in range(1, 30)], max_order=5) is None
 
 
 def test_terms_divisible_by_the_first_prime():
     fib = [1, 1]
     while len(fib) < 30:
         fib.append(fib[-1] + fib[-2])
-    rec = find_recurrence([x * (2**61 - 1) for x in fib], max_order=5)
+    rec = find_recurrence([x * PRIME_LADDER[0] for x in fib], max_order=5)
     assert rec.order == 2
     assert rec.coefficients == (1, 1)
+
+
+def test_every_rung_is_a_mersenne_prime():
+    # Lucas-Lehmer: for an odd prime q, 2^q - 1 is prime iff s_(q-2) = 0,
+    # where s_0 = 4 and s_(i+1) = s_i^2 - 2 mod 2^q - 1.
+    assert list(PRIME_LADDER) == sorted(PRIME_LADDER)
+    for m in PRIME_LADDER:
+        q = m.bit_length()
+        assert m == 2**q - 1
+        assert all(q % d for d in range(2, q))
+        s = 4
+        for _ in range(q - 2):
+            s = (s * s - 2) % m
+        assert s == 0
+
+
+def test_random_recurrences_with_wide_coefficients_are_recovered():
+    rng = random.Random(17)
+    for _ in range(200):
+        order = rng.randint(1, 6)
+        coeffs = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 500)) for _ in range(order)]
+        coeffs[-1] = coeffs[-1] or 1
+        initial = [rng.randint(-(2**20), 2**20) for _ in range(order)]
+        n = 2 * order + 4 + rng.randrange(4)
+        window = list(islice(Recurrence(tuple(coeffs), tuple(initial)).terms(), n))
+        rec = find_recurrence(window, max_order=order)
+        assert rec is not None and rec.order <= order
+        assert list(islice(rec.terms(), n)) == window
 
 
 def test_raising_max_order_keeps_the_result():
