@@ -6,13 +6,15 @@ anchored to n = 60, free to n = 40, and a fixed set of endpoint pairs to
 n = 24. Before those, each k runs an interleaved block on its cold graph:
 each request follows other variants' sweeps on that graph, so it starts
 cold, resumes or replays a stored sweep. It also hashes
-`state_space_size(k)` for k = 1..8, and the (order, n0, coefficients), or
-None, that `find_recurrence` mines from a fixed set of windows: anchored
-k = 2..6, the k = 5 endpoint pairs the benchmark mines, and two windows
-too short to determine their register. Two checkouts that print the same
-digest produce the same counts, state counts and recurrences on all of
-them, so a change to the DP's or the miner's internals can be checked with
-one command on each side (about 10 s):
+`state_space_size(k)` for k = 1..8; the wide windows of the anchored and
+free `count_dp(k, k)` for k = 8, 9 and the anchored k = 8 table to n = 26
+with its peak; and the (order, n0, coefficients), or None, that
+`find_recurrence` mines from a fixed set of windows: anchored k = 2..6, the
+k = 5 endpoint pairs the benchmark mines, and two windows too short to
+determine their register. Two checkouts that print the same digest produce
+the same counts, state counts and recurrences on all of them, so a change
+to the DP's or the miner's internals can be checked with one command on
+each side (about 10 s):
 
     PYTHONPATH=src python3 scripts/dp_digest.py
 """
@@ -21,7 +23,7 @@ import hashlib
 import json
 
 from anchorperms.core import ANCHORED, FREE, endpoints
-from anchorperms.profile_dp import state_space_size, term_table, term_table_stats
+from anchorperms.profile_dp import count_dp, state_space_size, term_table, term_table_stats
 from anchorperms.seqmine import find_recurrence
 
 KS = range(1, 8)
@@ -49,6 +51,10 @@ def records():
             table, peak = term_table_stats(k, variant, max_n)
             yield f"k={k} {variant.kind} {variant.ends(max_n)}", [table.values(), peak]
     yield "state_space_size", [state_space_size(k) for k in (*KS, 8)]
+    for k in (8, 9):
+        yield f"count_dp k={k} n={k}", [count_dp(k, k, variant) for variant in (ANCHORED, FREE)]
+    table, peak = term_table_stats(8, ANCHORED, 26)
+    yield "k=8 anchored 26", [table.values(), peak]
     for k, variant, terms, max_order in MINED:
         window = term_table(k, variant, terms).values()
         rec = find_recurrence(window, max_order or max(1, (terms - 4) // 2))

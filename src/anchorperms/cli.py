@@ -167,11 +167,11 @@ def cmd_bench(args) -> int:
     variant = ANCHORED
     check_args(args.k, args.max_n or 1, variant)  # an empty range (max_n 0) still checks k
     if args.method == "dp":
+        # The sweep checks its request when made, so a rejected one prints no header.
+        sweep = sweep_terms(args.k, variant, args.max_n) if args.max_n >= 1 else ()
         print("n,seconds,peak_profiles")
-        if args.max_n < 1:
-            return EXIT_OK
         t0 = time.perf_counter()
-        for n, _, peak in sweep_terms(args.k, variant, args.max_n):
+        for n, _, peak in sweep:
             dt = time.perf_counter() - t0
             print(f"{n},{dt:.6f},{peak}")
             t0 = time.perf_counter()

@@ -7,20 +7,22 @@ the last k processed values can still gain neighbors. The DP state
 (profile) records, for that window, each value's degree in the partial
 linear forest plus, for each open end, the offset to the other end of its
 segment, and how many path endpoints have already been committed among
-values that left the window. Offsets are relative and name no segment, so
-equal states are equal tuples by construction.
+values that left the window, in one ``bytes`` key. Offsets are relative
+and name no segment, so equal states are equal keys by construction. They
+fit 6 bits, so a sweep with min(k, n - 1) > 31 raises ValueError.
 
 Profiles for a fixed k form a finite set, which is what makes the
 generating function provably rational for every k via the transfer-matrix
 method. The engine compiles that matrix lazily, once per k in a process:
-a profile gets an integer id and its ends mask (the window slots that
-hold the ends of the complete path it forms, -1 if none) when first
-reached; its successor ids under each leaving rule (the degrees the oldest
-value may leave with) are computed once, and a step is
+a profile gets an integer id when first reached, and if it forms a
+complete path it is filed under its ends mask (the window slots that hold
+that path's ends); its successor ids under each leaving rule (the degrees
+the oldest value may leave with) are computed once, and a step is
 ``nxt[dst] += cur[src]`` over those edges. No edge needs a multiplicity:
 the new value's degree and the degrees left in the window determine which
-open ends it attached to. Row n sums the profiles whose ends mask is the
-slots of the values pinned at n (any mask for a free variant).
+open ends it attached to. Row n sums the profiles filed under the mask of
+the slots of the values pinned at n (every complete one for a free
+variant).
 
 Row n of a sweep does not depend on how far the sweep goes: its leaving
 rules and designated slots read only the variant's kind and ``variant.ends(n)``.
@@ -35,117 +37,113 @@ from typing import Iterator
 
 from .core import ANCHORED, CountTable, Variant, check_args, norm_k
 
-# Slot encoding: (degree, offset). A saturated (degree 2) slot stores None.
-# An open slot's offset leads to the other end of its segment: 0 for a lone
-# value, None once that end has left the window as a path endpoint.
-Slot = tuple[int, int | None]
-Profile = tuple[tuple[Slot, ...], int]
-
-_START: Profile = ((), 0)
-_SLOTS: dict[Slot, Slot] = {}  # interned, so stored profiles share slots
+# Profile bytes: byte 0 counts the path ends already committed, then one
+# byte per window slot, oldest first: ``degree << 6 | code``. The code is
+# offset + 32 for an open slot's offset to the other end of its segment (a
+# lone value is 32), and 0 once that end has left the window as a path
+# endpoint, or when the slot is saturated (128). So a byte >= 64 has a
+# neighbor and a byte < 128 is open. A step places value n after a window
+# of min(k, n - 1) values, so its offsets reach that far; the code holds 31.
+_START, _MAX_OFFSET = b"\0", 31
 # Leaving rules: bit d is set if the oldest value may leave with degree d.
 # A pinned value ends the path, any other is interior; free allows either.
 END, INTERIOR, EITHER = 0b010, 0b100, 0b110
 
 
-def _attach_choices(slots: tuple[Slot, ...]) -> Iterator[tuple[int, ...]]:
-    """Ways the new value can attach to open ends: none, one, or two ends
-    at distinct slots of distinct segments (same segment would close a
-    cycle, same slot would duplicate an edge)."""
-    open_idx = [i for i, (deg, _) in enumerate(slots) if deg < 2]
-    yield ()
-    for i in open_idx:
-        yield (i,)
-    for a, i in enumerate(open_idx):
-        off = slots[i][1]
-        for j in open_idx[a + 1 :]:
-            if j - i != off:  # j is not the other end of i's segment
-                yield (i, j)
+def _check_width(k: int, n: int) -> None:
+    """Reject a sweep to n whose offsets would not fit the 6-bit code."""
+    if (width := min(k, n - 1)) > _MAX_OFFSET:
+        raise ValueError(f"the profile DP needs min(k, n - 1) <= {_MAX_OFFSET}, not {width}")
 
 
-def _apply_attach(slots: tuple[Slot, ...], choice: tuple[int, ...]) -> list[Slot]:
-    """Attach the new value to the chosen open ends and append its slot.
-    Besides the chosen slots, only the two ends of the merged segment
-    change: they now point at each other."""
-    work = list(slots)
-    if not choice:
-        work.append((0, 0))
-        return work
-    work.append((len(choice), None))
-    ends = []  # the other end of each chosen slot's segment; None if it left
-    for i in choice:
-        deg, off = work[i]
-        work[i] = (deg + 1, None)  # a lone value is its own other end: reset below
-        ends.append(None if off is None else i + off)
-    if len(ends) == 1:
-        ends.append(len(slots))  # the new value ends the segment
-    a, b = ends
-    if a is not None:
-        work[a] = (work[a][0], None if b is None else b - a)
-    if b is not None:
-        work[b] = (work[b][0], None if a is None else a - b)
-    return work
-
-
-def _open_ends(slots: tuple[Slot, ...]) -> int:
-    return sum(2 - deg for deg, _ in slots if deg < 2)
-
-
-def _successors(profile: Profile, k: int, leave: int) -> Iterator[Profile]:
-    """Profiles reached by placing the next value, one per attachment.
+def _successors(profile: bytes, k: int, leave: int) -> list[bytes]:
+    """Profiles reached by placing the next value, one per attachment: to
+    no open end, to one, or to two at distinct slots of distinct segments
+    (one segment would close a cycle, one slot would duplicate an edge).
     When the window is full its oldest value leaves with a degree the
     leaving rule allows, and as a path endpoint only while one is left."""
-    slots, closed = profile
-    if closed == 2 and not _open_ends(slots):
-        return  # a complete path: any further value would stay isolated
-    leaving = len(slots) == k
-    for choice in _attach_choices(slots):
-        new_closed = closed
+    closed, new = profile[0], len(profile)  # new: the new value's position
+    opens = [i for i in range(1, new) if profile[i] < 128]
+    if closed == 2 and not opens:
+        return []  # a complete path: any further value would stay isolated
+    # The other end of each open end's segment, 0 once it left. Below, j = 0
+    # attaches the new value to i alone, so it ends the merged segment.
+    other = [i + (s & 63) - 32 if s & 63 else 0 for i, s in enumerate(profile)]
+    other[0] = new
+    leaving, built = new - 1 == k, []
+    if leaving:  # drop the choices whose leaving degree the rule forbids
+        deg = profile[1] >> 6
+        ok = [leave >> d & 1 and not (d == 1 and closed == 2) for d in (deg, deg + 1)]
+    if not leaving or ok[0]:
+        built.append(bytearray(profile) + b"\x20")  # to no end: a lone value (32)
+    for x, i in enumerate(opens):
+        if leaving and not ok[i == 1]:
+            continue
+        for j in (0, *opens[x + 1 :]):
+            a, b = other[i], other[j]
+            if j and a == j:
+                continue  # j is the other end of i's segment
+            # The chosen slots gain a degree and lose their code; the merged
+            # segment's two ends point at each other.
+            work = bytearray(profile)
+            work.append(128 if j else 64)
+            work[i] = (profile[i] + 64) & 192
+            if j:
+                work[j] = (profile[j] + 64) & 192
+            if a:
+                work[a] = work[a] & 192 | (b - a + 32 if b else 0)
+            if b:
+                work[b] = work[b] & 192 | (a - b + 32 if a else 0)
+            built.append(work)
+    out = []
+    for work in built:
         if leaving:
-            deg = slots[0][0] + (0 in choice)  # the leaving value's degree
-            if not leave >> deg & 1 or deg == 1 and closed == 2:
-                continue
-        new = _apply_attach(slots, choice)
-        if leaving:
-            off = new.pop(0)[1]
-            if deg == 1:
-                new_closed += 1
-                if off is not None:
-                    new[off - 1] = (new[off - 1][0], None)  # its partner's other end left
-                elif any(d < 2 for d, _ in new):
+            s = work[1]
+            if s >> 6 == 1:  # the oldest value leaves as a path end
+                work[0] += 1
+                if s & 63:
+                    work[(s & 63) - 31] &= 192  # its partner's other end left
+                elif min(work[2:]) < 128:
                     continue  # path sealed while another segment is still open
-        yield tuple([_SLOTS.setdefault(slot, slot) for slot in new]), new_closed
+            del work[1]
+        out.append(bytes(work))
+    return out
 
 
-def _ends_mask(profile: Profile) -> int:
+def _ends_mask(profile: bytes) -> int:
     """The mask of the window slots that hold the ends of the one complete
     path the profile forms if its newest value is n; -1 if it forms none."""
-    slots, closed = profile
-    if closed + _open_ends(slots) != 2 or not all(deg for deg, _ in slots):
-        return -1
-    return sum(1 << idx for idx, (deg, _) in enumerate(slots) if deg == 1)
+    slots = profile[1:]
+    if not slots or min(slots) < 64:
+        return -1  # a value with no neighbor yet
+    ends = [idx for idx, s in enumerate(slots) if s < 128]
+    return sum(1 << idx for idx in ends) if profile[0] + len(ends) == 2 else -1
 
 
 class _Graph:
     """The transfer matrix for fixed k, compiled lazily: profiles indexed
-    in first-reached order, each edge list and ends mask computed once."""
+    in first-reached order, each edge list computed once, and each profile
+    that forms a complete path filed under its ends mask and under None."""
 
     def __init__(self, k: int):
         self.k = k
-        self.ids: dict[Profile, int] = {}
-        self.profiles: list[Profile] = []
+        self.ids: dict[bytes, int] = {}
+        self.profiles: list[bytes] = []
         self._edges: dict[int, list] = {END: [], INTERIOR: [], EITHER: []}  # [rule][pid]
-        self.ends_mask: list[int] = []  # [pid]
+        self.complete: dict[int | None, list[int]] = {}  # ends mask (None: any) -> pids
         # Variant kind -> the last sweep of that kind: (variant, rows, profile
         # counts after the last row). Its rows list belongs to that sweep alone.
         self.last: dict[str, tuple[Variant, list[tuple[int, int, int]], dict[int, int]]] = {}
 
-    def index(self, profile: Profile) -> int:
+    def index(self, profile: bytes) -> int:
         pid = self.ids.get(profile)
         if pid is None:
             pid = self.ids[profile] = len(self.profiles)
             self.profiles.append(profile)
-            self.ends_mask.append(_ends_mask(profile))
+            mask = _ends_mask(profile)
+            if mask >= 0:
+                for key in (mask, None):
+                    self.complete.setdefault(key, []).append(pid)
             for edges in self._edges.values():
                 edges.append(None)
         return pid
@@ -153,31 +151,33 @@ class _Graph:
     def edges(self, pid: int, leave: int) -> tuple[int, ...]:
         out = self._edges[leave][pid]
         if out is None:
-            successors = _successors(self.profiles[pid], self.k, leave)
-            out = self._edges[leave][pid] = tuple(map(self.index, successors))
+            ids, index = self.ids, self.index
+            succ = _successors(self.profiles[pid], self.k, leave)
+            out = self._edges[leave][pid] = tuple([ids[p] if p in ids else index(p) for p in succ])
         return out
 
     def step(self, cur: dict[int, int], leave: int) -> dict[int, int]:
         nxt: dict[int, int] = {}
         get, known = nxt.get, self._edges[leave]
         for src, cnt in cur.items():
-            for dst in known[src] or self.edges(src, leave):
+            out = known[src]
+            if out is None:
+                out = self.edges(src, leave)
+            for dst in out:
                 nxt[dst] = get(dst, 0) + cnt
         return nxt
 
     def finished(self, cur: dict[int, int], designated: int | None) -> int:
         """The count of complete paths whose ends are the designated window
         slots (None: any slots, as in the free variant)."""
-        masks = self.ends_mask
-        if designated is None:
-            return sum(cnt for pid, cnt in cur.items() if masks[pid] >= 0)
-        return sum(cnt for pid, cnt in cur.items() if masks[pid] == designated)
+        get = cur.get
+        return sum(get(pid, 0) for pid in self.complete.get(designated, ()))
 
 
 @lru_cache(maxsize=16)
 def _graph(k: int) -> _Graph:
     """The graph for k, shared by every sweep of every variant: edge lists
-    are keyed by the leaving rule, and each profile has one ends mask."""
+    are keyed by the leaving rule, and complete profiles by ends mask."""
     return _Graph(k)
 
 
@@ -188,6 +188,7 @@ def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int
     stepped, if it swept this variant. The arguments are checked at the
     call; that last sweep is read at the first row."""
     kk = check_args(k, max_n, variant)
+    _check_width(kk, max_n)
     free = not variant.ends(max_n)
 
     def stream() -> Iterator[tuple[int, int, int]]:
@@ -242,13 +243,15 @@ def state_space_size(k) -> int:
     """Number of distinct profiles an anchored sweep reaches, by one walk of
     the shared graph along that sweep's edge lists: only value 1 leaves by
     END (a full window, no end left yet); every other step is INTERIOR."""
-    graph = _graph(check_args(k))
+    kk = check_args(k)
+    _check_width(kk, kk + 1)
+    graph = _graph(kk)
     seen = {graph.index(_START)}
     todo = list(seen)
     while todo:
         pid = todo.pop()
-        slots, closed = graph.profiles[pid]
-        for dst in graph.edges(pid, INTERIOR if closed or len(slots) < graph.k else END):
+        profile = graph.profiles[pid]
+        for dst in graph.edges(pid, INTERIOR if profile[0] or len(profile) <= kk else END):
             if dst not in seen:
                 seen.add(dst)
                 todo.append(dst)

@@ -35,6 +35,17 @@ def test_count_dp_handles_large_k(capsys):
     assert int(out) > 0
 
 
+def test_dp_past_the_profile_offset_limit_is_usage_error(capsys):
+    for argv in (
+        ("count", "--k", "33", "--n", "33", "--method", "dp"),
+        ("table", "--k", "40", "--max-n", "33"),
+        ("bench", "--k", "40", "--max-n", "33", "--method", "dp"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "min(k, n - 1) <= 31" in err, argv
+
+
 def test_count_closed_rejects_unsupported_combinations(capsys):
     code, _, err = run(capsys, "count", "--k", "4", "--n", "5", "--method", "closed")
     assert code == 2

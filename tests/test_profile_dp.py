@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -116,6 +117,16 @@ def test_free_is_twice_undirected_path_count():
     for k in (2, 3, 4):
         for n in range(2, 10):
             assert count_dp(k, n, FREE) % 2 == 0
+
+
+def test_windows_as_wide_as_the_permutation():
+    # With k >= n - 1 no gap is too large, so every anchored permutation and
+    # every permutation counts. These sweeps store the largest offsets a
+    # window of n values holds.
+    for n in range(2, 9):
+        for k in (n - 1, n + 5):
+            assert count_dp(k, n, ANCHORED) == math.factorial(n - 2), (k, n)
+            assert count_dp(k, n, FREE) == math.factorial(n), (k, n)
 
 
 def test_term_table_single_sweep_consistent_with_pointwise():
@@ -323,6 +334,21 @@ def test_invalid_arguments():
         count_dp(2, 0, ANCHORED)
     with pytest.raises(ValueError):
         count_dp(2, 3, endpoints(1, 9))
+
+
+def test_sweeps_past_the_profile_offset_limit_fail_at_the_call():
+    # Profiles store offsets in 6 bits. Each request below is rejected
+    # before any step; none may be run without the check.
+    with pytest.raises(ValueError, match="min\\(k, n - 1\\) <= 31"):
+        count_dp(33, 33)
+    with pytest.raises(ValueError, match="<= 31"):
+        sweep_terms(40, ANCHORED, 33)
+    with pytest.raises(ValueError, match="<= 31"):
+        term_table(32, FREE, 40)
+    with pytest.raises(ValueError, match="<= 31"):
+        state_space_size(33)
+    # A large k with a small n keeps a small window.
+    assert count_dp(100, 8) == math.factorial(6)
 
 
 def test_sweep_checks_its_arguments_at_the_call():
