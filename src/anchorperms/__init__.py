@@ -4,7 +4,6 @@ from .core import (
     ANCHORED,
     FREE,
     CountTable,
-    GapSpec,
     LemmaViolationError,
     Permutation,
     Variant,

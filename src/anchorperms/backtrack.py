@@ -27,7 +27,7 @@ def _feasible(a: int, free: int, k: int) -> bool:
     return abs(a - m) <= k or bool(free >> (m + 1) & ((1 << k) - 1))
 
 
-def _tree(k, n: int, variant: Variant) -> tuple[int, list[list[tuple[int, int]]]]:
+def _tree(k: int, n: int, variant: Variant) -> tuple[int, list[list[tuple[int, int]]]]:
     """The pruned search tree that both walkers below share: (checked k,
     nbrs), where nbrs[a] lists (v, bit of v) for the values that may follow
     a. The root is a virtual value 0 whose row holds the first values. The
@@ -77,12 +77,12 @@ def enumerate_perms(
     return stream()  # the arguments are checked at the call, not at next()
 
 
-def count_brute(k, n: int, variant: Variant = ANCHORED) -> int:
+def count_brute(k: int, n: int, variant: Variant = ANCHORED) -> int:
     """Number of k-bounded permutations under the variant."""
     return count_brute_stats(k, n, variant)[0]
 
 
-def count_brute_stats(k, n: int, variant: Variant = ANCHORED) -> tuple[int, int]:
+def count_brute_stats(k: int, n: int, variant: Variant = ANCHORED) -> tuple[int, int]:
     """(count, nodes): the pruned search of `enumerate_perms`, counting its
     leaves and its tree nodes without building any permutation.
 
@@ -142,7 +142,7 @@ def count_classes_fgh(n: int) -> tuple[int, int, int]:
     return f, g, h
 
 
-def brute_table(k, max_n: int, variant: Variant = ANCHORED) -> CountTable:
+def brute_table(k: int, max_n: int, variant: Variant = ANCHORED) -> CountTable:
     """Brute-force counts for n = 1..max_n; the pinned ends are checked at
     max_n, and a length below a pinned value counts 0, as in term_table."""
     kk = check_args(k, max_n, variant)

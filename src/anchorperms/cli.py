@@ -10,23 +10,20 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable
 
 from .backtrack import brute_table, count_brute, count_brute_stats, enumerate_perms
 from .closed_form import closed_count, closed_table
-from .core import ANCHORED, FREE, CountTable, Variant, check_args, endpoints
+from .core import ANCHORED, FREE, Variant, check_args, endpoints
 from .oeis import OeisFetchError, no_digit_limit, serialize_bfile
 from .profile_dp import count_dp, sweep_terms, term_table
-from .seqmine import InsufficientDataError, conjecture_probe
+from .seqmine import conjecture_probe
 from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ENV = 3
-
-
-class UsageError(Exception):
-    pass
 
 
 def parse_variant(text: str) -> Variant:
@@ -39,23 +36,32 @@ def parse_variant(text: str) -> Variant:
             s, e = text[len("endpoints:"):].split(",")
             return endpoints(int(s), int(e))
         except ValueError:
-            raise UsageError(f"bad endpoints spec {text!r}, want endpoints:<s>,<e>")
-    raise UsageError(f"unknown variant {text!r}")
+            raise ValueError(f"bad endpoints spec {text!r}, want endpoints:<s>,<e>") from None
+    raise ValueError(f"unknown variant {text!r}")
+
+
+def _methods() -> dict[str, tuple[Callable, Callable]]:
+    """Each --method's count(k, n, variant) and table(k, variant=, max_n=).
+    Built at each call from the module's names, so a wrapper bound over one
+    of them, as the benchmark's tracer binds, is the one that runs."""
+    return {
+        "brute": (count_brute, brute_table),
+        "dp": (count_dp, term_table),
+        "closed": (closed_count, closed_table),
+    }
+
+
+def _method(name: str, k: int, variant: Variant) -> tuple[Callable, Callable]:
+    """The method's functions; auto is the closed form where it applies, else the DP."""
+    if name == "auto":
+        name = "closed" if variant == ANCHORED and k <= 3 else "dp"
+    return _methods()[name]
 
 
 def cmd_count(args) -> int:
     variant = parse_variant(args.variant)
-    method = args.method
-    if method == "auto":
-        method = "closed" if (args.k <= 3 and variant.kind == "anchored") else "dp"
-    if method == "closed":
-        _require_anchored(variant)
-        value = closed_count(args.k, args.n)
-    elif method == "dp":
-        value = count_dp(args.k, args.n, variant)
-    else:
-        value = count_brute(args.k, args.n, variant)
-    print(value)
+    count, _ = _method(args.method, args.k, variant)
+    print(count(args.k, args.n, variant))
     return EXIT_OK
 
 
@@ -70,29 +76,16 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _require_anchored(variant: Variant) -> None:
-    if variant.kind != "anchored":
-        raise UsageError("closed-form counting covers anchored k <= 3 only")
-
-
-def _make_table(k: int, variant: Variant, max_n: int, method: str) -> CountTable:
-    if method == "closed":
-        _require_anchored(variant)
-        return closed_table(k, max_n)
-    if method == "brute":
-        return brute_table(k, max_n, variant)
-    return term_table(k, variant, max_n)
-
-
 def cmd_table(args) -> int:
     variant = parse_variant(args.variant)
+    _, make_table = _method(args.method, args.k, variant)
     if args.max_n == 0:  # an empty table prints nothing, but k and method are still checked
         if args.method == "closed":
-            _make_table(args.k, variant, 1, args.method)
+            make_table(args.k, variant=variant, max_n=1)
         else:
             check_args(args.k)
         return EXIT_OK
-    table = _make_table(args.k, variant, args.max_n, args.method)
+    table = make_table(args.k, variant=variant, max_n=args.max_n)
     if args.format == "bfile":
         sys.stdout.write(serialize_bfile(table))
     elif args.format == "csv":
@@ -113,11 +106,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    try:
-        report = conjecture_probe(args.k, args.terms, args.holdout, args.max_order)
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = conjecture_probe(args.k, args.terms, args.holdout, args.max_order)
     if report is None:
         print(
             json.dumps(
@@ -200,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="print one exact count")
     add_common(p)
-    p.add_argument("--method", choices=["auto", "brute", "dp", "closed"], default="auto")
+    p.add_argument("--method", choices=["auto", *_methods()], default="auto")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="list the permutations in lexicographic order")
@@ -212,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, with_n=False)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", choices=["bfile", "csv", "json"], default="bfile")
-    p.add_argument("--method", choices=["dp", "closed", "brute"], default="dp")
+    p.add_argument("--method", choices=list(_methods()), default="dp")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("mine", help="mine a linear recurrence from DP counts")
@@ -242,7 +231,7 @@ def main(argv=None) -> int:
     try:
         with no_digit_limit():  # exact counts may run past 4300 digits
             return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OeisFetchError as exc:

@@ -14,7 +14,7 @@ from itertools import islice
 from operator import mul
 from typing import Iterator, Sequence
 
-from .core import ANCHORED, FREE, CountTable, GapSpec, Variant, check_args, norm_k
+from .core import ANCHORED, FREE, CountTable, Variant, check_args
 from .polys import coprime_mod_p, poly_divmod, poly_gcd, trim
 
 
@@ -109,26 +109,26 @@ _ANCHORED_RECURRENCES = (
 )
 
 
-def _closed_terms(k: GapSpec | int, n: int) -> tuple[int, Iterator[int]]:
-    """The checked k and its anchored counts from n = 1 on; n is the last
-    length asked for."""
-    kk = norm_k(k)
-    if kk > 3:
+def _closed_terms(k: int, n: int, variant: Variant) -> Iterator[int]:
+    """The anchored counts from n = 1 on, once the request is checked; n is
+    the last length asked for. k is checked before n."""
+    if check_args(k) > 3 or variant != ANCHORED:
         raise ValueError("closed-form counting covers anchored k <= 3 only")
-    check_args(kk, n, ANCHORED)
-    return kk, _ANCHORED_RECURRENCES[kk - 1].terms()
+    check_args(k, n, variant)
+    return _ANCHORED_RECURRENCES[k - 1].terms()
 
 
-def closed_table(k: GapSpec | int, max_n: int) -> CountTable:
-    """Anchored counts for n = 1..max_n from the proven recurrence for k."""
-    kk, terms = _closed_terms(k, max_n)
-    return _table(kk, ANCHORED, list(islice(terms, max_n)))
+def closed_table(k: int, max_n: int, variant: Variant = ANCHORED) -> CountTable:
+    """Anchored counts for n = 1..max_n from the proven recurrence for k.
+    The variant is taken as the other counters take it; any but ANCHORED,
+    like any k > 3, raises ValueError."""
+    return _table(k, variant, list(islice(_closed_terms(k, max_n, variant), max_n)))
 
 
-def closed_count(k: GapSpec | int, n: int) -> int:
-    """The anchored count for n alone: closed_table's checks, no table, and
-    only the last `order` terms held at any time."""
-    return next(islice(_closed_terms(k, n)[1], n - 1, None))
+def closed_count(k: int, n: int, variant: Variant = ANCHORED) -> int:
+    """The count for n alone: closed_table's checks, no table, and only the
+    last `order` terms held at any time."""
+    return next(islice(_closed_terms(k, n, variant), n - 1, None))
 
 
 def count_k1(n: int) -> int:

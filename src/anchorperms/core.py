@@ -42,20 +42,6 @@ class Permutation:
             raise IndexError(f"position {position} out of range 1..{self.n}")
         return self.entries[position - 1]
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-
-@dataclass(frozen=True)
-class GapSpec:
-    """Maximum absolute difference allowed between consecutive entries."""
-
-    k: int
-
-    def __post_init__(self):
-        check_args(self.k)
-
 
 @dataclass(frozen=True)
 class Variant:
@@ -146,29 +132,23 @@ def _check_int(value, message: str) -> int:
     return value
 
 
-def norm_k(k: GapSpec | int) -> int:
-    """The gap bound as a plain int, from a GapSpec or an int."""
-    return _check_int(k.k if isinstance(k, GapSpec) else k, "k must be an int or a GapSpec")
-
-
-def check_args(k: GapSpec | int, n: int = 1, variant: Variant = FREE) -> int:
+def check_args(k: int, n: int = 1, variant: Variant = FREE) -> int:
     """Validate a counting request (gap bound, length, pinned ends at that
-    length); the gap bound as a plain int."""
-    kk = norm_k(k)
-    if kk < 1:
+    length); the gap bound."""
+    if _check_int(k, "k must be an int") < 1:
         raise ValueError("k must be >= 1")
     _check_int(n, "n must be an int")
     if n < 1:
         raise ValueError("n must be >= 1")
     variant.check_range(n)
-    return kk
+    return k
 
 
-def is_k_bounded(p: Permutation, k: GapSpec | int) -> bool:
+def is_k_bounded(p: Permutation, k: int) -> bool:
     """True iff every consecutive absolute difference is at most k."""
-    kk = norm_k(k)
+    _check_int(k, "k must be an int")
     e = p.entries
-    return all(abs(e[i + 1] - e[i]) <= kk for i in range(len(e) - 1))
+    return all(abs(e[i + 1] - e[i]) <= k for i in range(len(e) - 1))
 
 
 def is_anchored(p: Permutation) -> bool:

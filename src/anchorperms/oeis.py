@@ -100,18 +100,12 @@ def _cache_path(cache_dir: Path, sequence_id: str) -> Path:
     return Path(cache_dir) / f"{sequence_id}.txt"
 
 
-def bfile_url(sequence_id: str, base_url: str | None = None) -> str:
-    base = base_url or os.environ.get("OEIS_BASE_URL", DEFAULT_BASE_URL)
+def bfile_url(sequence_id: str) -> str:
+    base = os.environ.get("OEIS_BASE_URL", DEFAULT_BASE_URL)
     return f"{base.rstrip('/')}/{sequence_id}/b{sequence_id[1:]}.txt"
 
 
-def fetch_terms(
-    sequence_id: str,
-    cache_dir,
-    *,
-    refresh: bool = False,
-    base_url: str | None = None,
-) -> CountTable:
+def fetch_terms(sequence_id: str, cache_dir, *, refresh: bool = False) -> CountTable:
     """Return the cached b-file for the id, fetching it once if absent."""
     if not _ID_RE.match(sequence_id):
         raise ValueError(f"bad sequence id {sequence_id!r} (want A followed by 6 digits)")
@@ -119,7 +113,7 @@ def fetch_terms(
     path = _cache_path(cache_dir, sequence_id)
     if path.exists() and not refresh:
         return parse_bfile(path.read_text())
-    url = bfile_url(sequence_id, base_url)
+    url = bfile_url(sequence_id)
     try:
         with urllib.request.urlopen(url, timeout=30) as resp:
             status, text = resp.status, resp.read().decode()

@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .core import ANCHORED, CountTable, Variant, check_args, norm_k
+from .core import ANCHORED, CountTable, Variant, check_args
 
 # Profile bytes: byte 0 counts the path ends already committed, then one
 # byte per window slot, oldest first: ``degree << 6 | code``. The code is
@@ -181,7 +181,7 @@ def _graph(k: int) -> _Graph:
     return _Graph(k)
 
 
-def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int]]:
+def sweep_terms(k: int, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int]]:
     """Yield (n, count, peak) for n = 1..max_n from one incremental sweep;
     peak is the largest number of simultaneous profiles so far. Rows the
     graph's last sweep of this variant's kind reached are replayed, not
@@ -219,27 +219,27 @@ def sweep_terms(k, variant: Variant, max_n: int) -> Iterator[tuple[int, int, int
     return stream()
 
 
-def count_dp(k, n: int, variant: Variant = ANCHORED) -> int:
+def count_dp(k: int, n: int, variant: Variant = ANCHORED) -> int:
     """Exact count of k-bounded permutations under the variant."""
     for _, count, _ in sweep_terms(k, variant, n):
         pass
     return count
 
 
-def term_table(k, variant: Variant = ANCHORED, max_n: int = 1) -> CountTable:
+def term_table(k: int, variant: Variant = ANCHORED, max_n: int = 1) -> CountTable:
     """Counts for n = 1..max_n from a single incremental sweep."""
     return term_table_stats(k, variant, max_n)[0]
 
 
-def term_table_stats(k, variant: Variant, max_n: int) -> tuple[CountTable, int]:
+def term_table_stats(k: int, variant: Variant, max_n: int) -> tuple[CountTable, int]:
     """term_table plus the peak number of simultaneous profiles."""
     counts = []
     for _, count, peak in sweep_terms(k, variant, max_n):
         counts.append(count)
-    return CountTable(k=norm_k(k), variant=variant, counts=counts, provenance="dp"), peak
+    return CountTable(k=k, variant=variant, counts=counts, provenance="dp"), peak
 
 
-def state_space_size(k) -> int:
+def state_space_size(k: int) -> int:
     """Number of distinct profiles an anchored sweep reaches, by one walk of
     the shared graph along that sweep's edge lists: only value 1 leaves by
     END (a full window, no end left yet); every other step is INTERIOR."""

@@ -56,7 +56,8 @@ def _check_window(n_terms: int, max_order: int) -> None:
         raise ValueError("max_order must be >= 1")
     if n_terms < 2 * max_order + 4:
         raise InsufficientDataError(
-            f"need at least {2 * max_order + 4} terms for max_order={max_order}, got {n_terms}"
+            f"insufficient data: need at least {2 * max_order + 4} terms"
+            f" for max_order={max_order}, got {n_terms}"
         )
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from anchorperms.cli import main
+from anchorperms.cli import main, parse_variant
 from anchorperms.closed_form import closed_table
 from anchorperms.oeis import no_digit_limit
 
@@ -54,6 +54,12 @@ def test_count_closed_rejects_unsupported_combinations(capsys):
         capsys, "count", "--k", "2", "--n", "5", "--variant", "free", "--method", "closed"
     )
     assert code == 2
+    for variant in ("free", "endpoints:1,4"):
+        code, out, err = run(
+            capsys, "table", "--k", "3", "--max-n", "5", "--variant", variant, "--method", "closed"
+        )
+        assert (code, out) == (2, ""), variant
+        assert "closed-form" in err, variant
 
 
 def test_count_rejects_k_below_one(capsys):
@@ -114,6 +120,9 @@ def test_bad_variant_spec(capsys):
         capsys, "count", "--k", "2", "--n", "5", "--variant", "endpoints:1"
     )
     assert code == 2
+    for text in ("bogus", "endpoints:1"):
+        with pytest.raises(ValueError):
+            parse_variant(text)
 
 
 def test_enumerate_lines(capsys):

@@ -29,7 +29,7 @@ from anchorperms.closed_form import (
     k2_table,
     k3_table,
 )
-from anchorperms.core import ANCHORED, CountTable, GapSpec
+from anchorperms.core import ANCHORED, FREE, CountTable, endpoints
 from anchorperms.polys import PRIME_LADDER, coprime_mod_p, poly_gcd
 
 
@@ -66,15 +66,6 @@ def test_closed_table_serves_k1_to_k3():
         assert [closed_count(k, n) for n in range(1, 201)] == vals
 
 
-def test_closed_table_and_count_accept_a_gap_spec():
-    assert closed_count(GapSpec(3), 10) == 254
-    t = closed_table(GapSpec(2), 7)
-    assert (t.k, t.values()) == (2, [1, 1, 1, 2, 3, 4, 6])
-    for k in (4, GapSpec(4)):  # the k check comes before the n check
-        with pytest.raises(ValueError, match="closed-form"):
-            closed_table(k, 0)
-
-
 def test_closed_count_holds_a_window_not_the_sequence():
     # Term 20000 of the k = 3 sequence has about 2.7 KB; the whole list of
     # terms before it is tens of MB.
@@ -93,6 +84,13 @@ def test_closed_table_rejects_bad_arguments():
             closed_table(k, 5)
     with pytest.raises(ValueError, match="closed-form"):
         closed_table(4, 5)
+    with pytest.raises(ValueError, match="closed-form"):  # the k check comes before the n check
+        closed_table(4, 0)
+    # The closed forms count anchored permutations only.
+    with pytest.raises(ValueError, match="closed-form"):
+        closed_table(3, 5, FREE)
+    with pytest.raises(ValueError, match="closed-form"):
+        closed_count(3, 5, endpoints(1, 5))
     for max_n in (0, -2):
         for call in (closed_table, closed_count):
             with pytest.raises(ValueError, match="n must be >= 1"):

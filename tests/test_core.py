@@ -6,7 +6,6 @@ from anchorperms.core import (
     ANCHORED,
     FREE,
     CountTable,
-    GapSpec,
     Permutation,
     Variant,
     check_args,
@@ -23,7 +22,7 @@ perms = st.integers(1, 8).flatmap(
 
 def test_is_k_bounded_known_values():
     assert is_k_bounded(Permutation((1, 4, 2, 3, 6, 5, 7, 8, 9)), 3)
-    assert is_k_bounded(Permutation(tuple(range(1, 10))), GapSpec(1))
+    assert is_k_bounded(Permutation(tuple(range(1, 10))), 1)
     assert not is_k_bounded(Permutation((1, 4, 2, 3)), 2)
 
 
@@ -35,7 +34,7 @@ def test_is_anchored_known_values():
 
 def test_gaps_known_values():
     assert gaps(Permutation((1, 3, 2, 4))) == (2, -1, 2)
-    assert gaps(Permutation.identity(4)) == (1, 1, 1)
+    assert gaps(Permutation(tuple(range(1, 5)))) == (1, 1, 1)
     assert gaps(Permutation((1, 4, 2, 5, 3, 6))) == (3, -2, 3, -2, 3)
     assert gaps(Permutation((1,))) == ()
 
@@ -47,11 +46,6 @@ def test_permutation_rejects_non_bijections():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         Permutation(())
-
-
-def test_gapspec_positive():
-    with pytest.raises(ValueError):
-        GapSpec(0)
 
 
 def test_variant_invariants():
@@ -70,7 +64,7 @@ def test_variant_invariants():
 
 
 def test_check_args_order_and_messages():
-    assert check_args(GapSpec(3), 5, endpoints(2, 4)) == 3
+    assert check_args(3, 5, endpoints(2, 4)) == 3
     for args, message in (
         ((0, -1, endpoints(9, 9)), "k must be >= 1"),
         ((2, 0, endpoints(9, 9)), "n must be >= 1"),
@@ -94,11 +88,11 @@ def test_k_must_be_an_int_or_a_gap_spec(k):
         lambda: closed_count(k, 9),
         lambda: count_brute(k, 6),
         lambda: check_args(k),
-        lambda: GapSpec(k),
+        lambda: is_k_bounded(Permutation((1, 2)), k),
     ):
-        with pytest.raises(ValueError, match="k must be an int or a GapSpec"):
+        with pytest.raises(ValueError, match="k must be an int"):
             call()
-    assert check_args(GapSpec(3)) == check_args(3) == 3
+    assert check_args(3) == 3
 
 
 @pytest.mark.parametrize("n", [5.0, True, "5"])

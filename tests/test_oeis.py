@@ -77,9 +77,11 @@ def test_parse_empty_file():
     assert len(t) == 0
 
 
-def test_bfile_url():
+def test_bfile_url(monkeypatch):
+    monkeypatch.delenv("OEIS_BASE_URL", raising=False)
     assert bfile_url("A249665") == "https://oeis.org/A249665/b249665.txt"
-    assert bfile_url("A000045", base_url="http://x/") == "http://x/A000045/b000045.txt"
+    monkeypatch.setenv("OEIS_BASE_URL", "http://x/")
+    assert bfile_url("A000045") == "http://x/A000045/b000045.txt"
 
 
 def test_fetch_rejects_bad_ids(tmp_path):
@@ -124,7 +126,8 @@ def test_fetch_via_local_server(tmp_path, monkeypatch):
         return FakeResponse()
 
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    t = fetch_terms("A249665", tmp_path, base_url="http://mirror")
+    monkeypatch.setenv("OEIS_BASE_URL", "http://mirror")
+    t = fetch_terms("A249665", tmp_path)
     assert calls == ["http://mirror/A249665/b249665.txt"]
     assert t.values() == k3_table(60)
     assert (tmp_path / "A249665.txt").exists()
