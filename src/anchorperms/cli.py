@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Callable
 
-from .backtrack import brute_table, count_brute, count_brute_stats, enumerate_perms
-from .closed_form import closed_count, closed_table
+from .backtrack import brute_table, count_brute, enumerate_perms
+from .closed_form import ANCHORED_RECURRENCES, closed_count, closed_table
 from .core import ANCHORED, FREE, Variant, check_args, endpoints
 from .oeis import OeisFetchError, no_digit_limit, serialize_bfile
-from .profile_dp import count_dp, sweep_terms, term_table
+from .profile_dp import count_dp, term_table
 from .seqmine import conjecture_probe
 from .verify import SUITES
 
@@ -54,7 +53,7 @@ def _methods() -> dict[str, tuple[Callable, Callable]]:
 def _method(name: str, k: int, variant: Variant) -> tuple[Callable, Callable]:
     """The method's functions; auto is the closed form where it applies, else the DP."""
     if name == "auto":
-        name = "closed" if variant == ANCHORED and k <= 3 else "dp"
+        name = "closed" if variant == ANCHORED and k in ANCHORED_RECURRENCES else "dp"
     return _methods()[name]
 
 
@@ -149,31 +148,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
-def cmd_bench(args) -> int:
-    """Per-n timing CSV. The dp method times the process's sweep: a graph's
-    stored rows are replayed and only later n are stepped, so it times a
-    fresh sweep only in a fresh process, such as one `anchorperms bench`."""
-    variant = ANCHORED
-    check_args(args.k, args.max_n or 1, variant)  # an empty range (max_n 0) still checks k
-    if args.method == "dp":
-        # The sweep checks its request when made, so a rejected one prints no header.
-        sweep = sweep_terms(args.k, variant, args.max_n) if args.max_n >= 1 else ()
-        print("n,seconds,peak_profiles")
-        t0 = time.perf_counter()
-        for n, _, peak in sweep:
-            dt = time.perf_counter() - t0
-            print(f"{n},{dt:.6f},{peak}")
-            t0 = time.perf_counter()
-    else:
-        print("n,seconds,nodes")
-        for n in range(1, args.max_n + 1):
-            t0 = time.perf_counter()
-            _, nodes = count_brute_stats(args.k, n, variant)
-            dt = time.perf_counter() - t0
-            print(f"{n},{dt:.6f},{nodes}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="anchorperms",
@@ -215,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--max-n", type=int, default=None)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="per-n timing and search-size CSV")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--method", choices=["dp", "brute"], default="dp")
-    p.set_defaults(func=cmd_bench)
 
     return ap
 

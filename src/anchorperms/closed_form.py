@@ -102,20 +102,23 @@ K2_INITIAL = (1, 1, 1)
 K2_COEFFS = (1, 0, 1)
 K3_INITIAL = (1, 1, 1, 2, 6, 14, 28, 56)
 K3_COEFFS = (2, -1, 2, 1, 1, 0, -1, -1)
-# The anchored counts for k = 1, 2, 3; only the identity is 1-bounded and
-# anchored.
-_ANCHORED_RECURRENCES = (
-    Recurrence((1,), (1,)), Recurrence(K2_COEFFS, K2_INITIAL), Recurrence(K3_COEFFS, K3_INITIAL)
-)
+# The anchored counts by k, for each k that has a proven closed form; only
+# the identity is 1-bounded and anchored.
+ANCHORED_RECURRENCES: dict[int, Recurrence] = {
+    1: Recurrence((1,), (1,)),
+    2: Recurrence(K2_COEFFS, K2_INITIAL),
+    3: Recurrence(K3_COEFFS, K3_INITIAL),
+}
 
 
 def _closed_terms(k: int, n: int, variant: Variant) -> Iterator[int]:
     """The anchored counts from n = 1 on, once the request is checked; n is
     the last length asked for. k is checked before n."""
-    if check_args(k) > 3 or variant != ANCHORED:
+    rec = ANCHORED_RECURRENCES.get(check_args(k))
+    if rec is None or variant != ANCHORED:
         raise ValueError("closed-form counting covers anchored k <= 3 only")
     check_args(k, n, variant)
-    return _ANCHORED_RECURRENCES[k - 1].terms()
+    return rec.terms()
 
 
 def closed_table(k: int, max_n: int, variant: Variant = ANCHORED) -> CountTable:
@@ -137,7 +140,7 @@ def count_k1(n: int) -> int:
 
 def k2_table(max_n: int) -> list[int]:
     """R_1..R_max_n with R_n = R_{n-1} + R_{n-3}."""
-    return list(islice(_ANCHORED_RECURRENCES[1].terms(), max(max_n, 0)))
+    return list(islice(ANCHORED_RECURRENCES[2].terms(), max(max_n, 0)))
 
 
 def count_k2(n: int) -> int:
@@ -146,7 +149,7 @@ def count_k2(n: int) -> int:
 
 def k3_table(max_n: int) -> list[int]:
     """F_1..F_max_n using the depth-8 recurrence beyond the seed block."""
-    return list(islice(_ANCHORED_RECURRENCES[2].terms(), max(max_n, 0)))
+    return list(islice(ANCHORED_RECURRENCES[3].terms(), max(max_n, 0)))
 
 
 def count_k3(n: int) -> int:

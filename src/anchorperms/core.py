@@ -7,7 +7,6 @@ at position i. All counts are exact Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 
 class LemmaViolationError(AssertionError):
@@ -155,7 +154,7 @@ def is_anchored(p: Permutation) -> bool:
     return ANCHORED.matches(p)
 
 
-def gaps(p: Permutation | Sequence[int]) -> tuple[int, ...]:
+def gaps(p: Permutation) -> tuple[int, ...]:
     """Signed consecutive differences, in order. Empty for n = 1."""
-    e = p.entries if isinstance(p, Permutation) else tuple(p)
+    e = p.entries
     return tuple(e[i + 1] - e[i] for i in range(len(e) - 1))

@@ -16,6 +16,7 @@ import urllib.error
 import urllib.request
 from contextlib import contextmanager
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 from .core import FREE, CountTable
@@ -103,6 +104,13 @@ def _cache_path(cache_dir: Path, sequence_id: str) -> Path:
 def bfile_url(sequence_id: str) -> str:
     base = os.environ.get("OEIS_BASE_URL", DEFAULT_BASE_URL)
     return f"{base.rstrip('/')}/{sequence_id}/b{sequence_id[1:]}.txt"
+
+
+def default_oeis_cache_dir() -> Path:
+    env = os.environ.get("OEIS_CACHE_DIR")
+    if env:
+        return Path(env)
+    return Path(resources.files("anchorperms") / "data")
 
 
 def fetch_terms(sequence_id: str, cache_dir, *, refresh: bool = False) -> CountTable:

@@ -133,8 +133,6 @@ class ProbeReport:
     gf: RationalGF
     holdout_match: bool
     state_space_size: int
-    terms_used: int
-    holdout_used: int
 
 
 def conjecture_probe(
@@ -160,6 +158,4 @@ def conjecture_probe(
         gf=to_gf(rec, mine_terms),
         holdout_match=predict(rec, mine_terms, holdout) == all_terms[terms_n:],
         state_space_size=state_space_size(k),
-        terms_used=terms_n,
-        holdout_used=holdout,
     )

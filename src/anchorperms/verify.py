@@ -6,10 +6,7 @@ share one implementation.
 
 from __future__ import annotations
 
-import os
-from importlib import resources
 from itertools import islice
-from pathlib import Path
 
 from . import oeis as oeis_mod
 from .backtrack import count_brute, count_classes_fgh, enumerate_perms
@@ -178,13 +175,6 @@ def suite_gf(max_n: int = 200) -> list[Check]:
     ]
 
 
-def default_oeis_cache_dir() -> Path:
-    env = os.environ.get("OEIS_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(resources.files("anchorperms") / "data")
-
-
 def suite_oeis(max_n: int = 60) -> list[Check]:
     """The check names the b-file's source header. Unless the file says it
     was fetched, it is a local fixture and the check is one of consistency
@@ -192,7 +182,7 @@ def suite_oeis(max_n: int = 60) -> list[Check]:
     network is available; the CLI maps that to the environment-error exit
     code."""
     _require(max_n, 1)
-    table = oeis_mod.fetch_terms("A249665", default_oeis_cache_dir())
+    table = oeis_mod.fetch_terms("A249665", oeis_mod.default_oeis_cache_dir())
     if table.provenance.startswith("fetched from "):
         subject = f"A249665 ({table.provenance}) fully matches"
     else:

@@ -25,11 +25,10 @@ from anchorperms.closed_form import (
     k3_table,
 )
 from anchorperms.core import ANCHORED
-from anchorperms.oeis import compare, parse_bfile
+from anchorperms.oeis import compare, default_oeis_cache_dir, parse_bfile
 from anchorperms.profile_dp import count_dp, term_table
 from anchorperms.seqmine import conjecture_probe, find_recurrence, to_gf
 from anchorperms.verify import (
-    default_oeis_cache_dir,
     suite_fgh,
     suite_lemma2,
     suite_lemma33,

@@ -5,7 +5,9 @@ import pytest
 
 from anchorperms.cli import main, parse_variant
 from anchorperms.closed_form import closed_table
+from anchorperms.core import ANCHORED, FREE
 from anchorperms.oeis import no_digit_limit
+from anchorperms.profile_dp import count_dp
 
 
 def run(capsys, *argv):
@@ -18,6 +20,10 @@ def test_count_auto_uses_closed_form(capsys):
     code, out, _ = run(capsys, "count", "--k", "3", "--n", "9")
     assert code == 0
     assert out.strip() == "118"
+    # Past the closed forms' reach, auto counts with the DP.
+    for k, variant, spec in ((4, ANCHORED, "anchored"), (3, FREE, "free")):
+        code, out, _ = run(capsys, "count", "--k", str(k), "--n", "9", "--variant", spec)
+        assert (code, out.strip()) == (0, str(count_dp(k, 9, variant)))
 
 
 def test_count_methods_agree(capsys):
@@ -39,7 +45,6 @@ def test_dp_past_the_profile_offset_limit_is_usage_error(capsys):
     for argv in (
         ("count", "--k", "33", "--n", "33", "--method", "dp"),
         ("table", "--k", "40", "--max-n", "33"),
-        ("bench", "--k", "40", "--max-n", "33", "--method", "dp"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -70,7 +75,6 @@ def test_count_rejects_k_below_one(capsys):
         ("count", "--k", "0", "--n", "5", "--method", "dp"),
         ("enumerate", "--k", "0", "--n", "3"),
         ("table", "--k", "0", "--max-n", "4", "--method", "brute"),
-        ("bench", "--k", "0", "--max-n", "4", "--method", "brute"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -208,9 +212,6 @@ def test_table_negative_max_n_is_usage_error(capsys):
     [
         (["table", "--k", "0", "--max-n", "0"], "k must be >= 1"),
         (["table", "--k", "4", "--max-n", "0", "--method", "closed"], "closed-form"),
-        (["bench", "--k", "0", "--max-n", "0"], "k must be >= 1"),
-        (["bench", "--k", "3", "--max-n", "-1"], "n must be >= 1"),
-        (["bench", "--k", "3", "--max-n", "-1", "--method", "brute"], "n must be >= 1"),
     ],
 )
 def test_empty_ranges_still_check_the_request(capsys, argv, message):
@@ -293,37 +294,8 @@ def test_verify_oeis_offline_without_cache_is_env_error(capsys, tmp_path, monkey
     assert "skip" in err
 
 
-def test_bench_dp_csv_shape(capsys):
-    code, out, _ = run(capsys, "bench", "--k", "3", "--max-n", "5")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "n,seconds,peak_profiles"
-    assert len(lines) == 6
-    assert all(len(line.split(",")) == 3 for line in lines[1:])
-
-
-def test_bench_brute_csv_shape(capsys):
-    code, out, _ = run(capsys, "bench", "--k", "2", "--max-n", "6", "--method", "brute")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "n,seconds,nodes"
-    assert len(lines) == 7
-
-
-def test_bench_brute_reports_the_full_search_tree(capsys):
-    code, out, _ = run(capsys, "bench", "--k", "3", "--max-n", "8", "--method", "brute")
-    assert code == 0
-    n, _, nodes = out.splitlines()[-1].split(",")
-    assert (n, nodes) == ("8", "408")
-
-
-def test_bench_empty_range_prints_header_only(capsys):
-    code, out, _ = run(capsys, "bench", "--k", "2", "--max-n", "0")
-    assert code == 0
-    assert out == "n,seconds,peak_profiles\n"
-
-
 def test_unknown_subcommand_exits_with_usage():
-    with pytest.raises(SystemExit) as e:
-        main(["bogus"])
-    assert e.value.code == 2
+    for argv in (["bogus"], ["bench", "--k", "3", "--max-n", "5"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv

@@ -184,7 +184,6 @@ def test_conjecture_probe_k2():
     assert report.gf == gf_k2()
     assert report.holdout_match
     assert report.state_space_size == 8
-    assert report.terms_used == 30 and report.holdout_used == 10
 
 
 def test_conjecture_probe_k4():
