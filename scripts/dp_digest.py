@@ -9,12 +9,13 @@ cold, resumes or replays a stored sweep. It also hashes
 `state_space_size(k)` for k = 1..8; the wide windows of the anchored and
 free `count_dp(k, k)` for k = 8, 9 and the anchored k = 8 table to n = 26
 with its peak; and the (order, n0, coefficients), or None, that
-`find_recurrence` mines from a fixed set of windows: anchored k = 2..6, the
-k = 5 endpoint pairs the benchmark mines, and two windows too short to
+`find_recurrence` mines from a fixed set of windows, each with the GF
+(numerator, denominator) that `to_gf` builds from it: anchored k = 2..6,
+the k = 5 endpoint pairs the benchmark mines, and two windows too short to
 determine their register. Two checkouts that print the same digest produce
-the same counts, state counts and recurrences on all of them, so a change
-to the DP's or the miner's internals can be checked with one command on
-each side (about 10 s):
+the same counts, state counts, recurrences and GFs on all of them, so a
+change to the DP's, the miner's or the GF's internals can be checked with
+one command on each side (about 10 s):
 
     PYTHONPATH=src python3 scripts/dp_digest.py
 """
@@ -24,7 +25,7 @@ import json
 
 from anchorperms.core import ANCHORED, FREE, endpoints
 from anchorperms.profile_dp import count_dp, state_space_size, term_table, term_table_stats
-from anchorperms.seqmine import find_recurrence
+from anchorperms.seqmine import find_recurrence, to_gf
 
 KS = range(1, 8)
 # Pairs with both ends low, with the start above the end, with both ends
@@ -59,6 +60,9 @@ def records():
         window = term_table(k, variant, terms).values()
         rec = find_recurrence(window, max_order or max(1, (terms - 4) // 2))
         mined = rec and [rec.order, rec.n0, list(rec.coefficients)]
+        if rec:
+            gf = to_gf(rec, window)
+            mined.append([list(gf.numerator), list(gf.denominator)])
         yield f"mine k={k} {variant.kind} {variant.ends(terms)} terms={terms}", mined
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .backtrack import brute_table, count_brute, enumerate_perms
 from .closed_form import ANCHORED_RECURRENCES, closed_count, closed_table
-from .core import ANCHORED, FREE, Variant, check_args, endpoints
+from .core import ANCHORED, FREE, Variant, endpoints
 from .oeis import OeisFetchError, no_digit_limit, serialize_bfile
 from .profile_dp import count_dp, term_table
 from .seqmine import conjecture_probe
@@ -78,11 +78,8 @@ def cmd_enumerate(args) -> int:
 def cmd_table(args) -> int:
     variant = parse_variant(args.variant)
     _, make_table = _method(args.method, args.k, variant)
-    if args.max_n == 0:  # an empty table prints nothing, but k and method are still checked
-        if args.method == "closed":
-            make_table(args.k, variant=variant, max_n=1)
-        else:
-            check_args(args.k)
+    if args.max_n == 0:  # an empty table prints nothing, but is checked as max_n = 1 is
+        make_table(args.k, variant=variant, max_n=1)
         return EXIT_OK
     table = make_table(args.k, variant=variant, max_n=args.max_n)
     if args.format == "bfile":

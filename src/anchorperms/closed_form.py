@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from operator import mul
 from typing import Iterator, Sequence
 
 from .core import ANCHORED, FREE, CountTable, Variant, check_args
-from .polys import coprime_mod_p, poly_divmod, poly_gcd, trim
+from .polys import poly_divmod, poly_gcd, trim
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,9 @@ class Recurrence:
 class RationalGF:
     """Ratio of integer polynomials, coefficients ascending by degree.
 
-    Denominator has constant term 1 and the fraction is in lowest terms.
+    The denominator has constant term 1, the one thing checked here. The
+    fraction is in lowest terms as built: by seqmine.to_gf from a register
+    find_recurrence returns (see there), by reduced, or as gf_k2 and gf_k3.
     """
 
     numerator: tuple[int, ...]
@@ -63,9 +64,6 @@ class RationalGF:
     def __post_init__(self):
         if not self.denominator or self.denominator[0] != 1:
             raise ValueError("denominator constant term must be 1")
-        num, den = list(self.numerator), list(self.denominator)
-        if not coprime_mod_p(num, den) and len(poly_gcd(num, den)) > 1:
-            raise ValueError("numerator and denominator share a factor")
 
     @staticmethod
     def reduced(numerator, denominator) -> "RationalGF":
@@ -73,17 +71,13 @@ class RationalGF:
 
         Both sides are divided by their polynomial gcd and then by the
         single scalar that makes the denominator's constant term 1, so the
-        value of the fraction is preserved exactly. The exact gcd runs only
-        when the modular coprimality certificate fails."""
-        num = [Fraction(x) for x in trim(list(numerator))]
-        den = [Fraction(x) for x in trim(list(denominator))]
+        value of the fraction is preserved exactly."""
+        den = trim(list(denominator))
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not coprime_mod_p(num, den):
-            g = poly_gcd(num, den)
-            if len(g) > 1:
-                num, _ = poly_divmod(num, g)
-                den, _ = poly_divmod(den, g)
+        g = poly_gcd(numerator, den)
+        num, _ = poly_divmod(numerator, g)
+        den, _ = poly_divmod(den, g)
         if not den or den[0] == 0:
             raise ValueError("denominator must have nonzero constant term")
         c = den[0]

@@ -1,8 +1,7 @@
 """Small exact polynomial helpers over the rationals.
 
 Polynomials are coefficient lists in ascending degree order. Only what the
-generating-function code needs: arithmetic, gcd, normalization, and a
-modular coprimality certificate.
+generating-function code needs: normalization, division and gcd.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 # The Mersenne primes 2^89 - 1 and 2^521 - 1: the rungs seqmine's miner
-# climbs, and (the first) coprime_mod_p's modulus.
+# climbs.
 PRIME_LADDER = ((1 << 89) - 1, (1 << 521) - 1)
 
 
@@ -18,18 +17,6 @@ def trim(p: list) -> list:
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return trim(out)
 
 
 def poly_divmod(a: list, b: list) -> tuple[list, list]:
@@ -60,30 +47,3 @@ def poly_gcd(a: list, b: list) -> list:
         a = [c / lead for c in a]
     return a
 
-
-def coprime_mod_p(a: list, b: list) -> bool:
-    """Certificate that a and b (integer or rational) are coprime over Q.
-
-    True when p = 2^89 - 1 divides no coefficient denominator nor b's
-    leading coefficient, and gcd(a mod p, b mod p) is a nonzero constant.
-    By Gauss's lemma a common factor over Q would survive reduction mod p
-    with its degree intact. False proves nothing; use poly_gcd then."""
-    p = PRIME_LADDER[0]
-    a, b = trim(list(a)), trim(list(b))
-    if not b or b[-1].numerator % p == 0 or any(x.denominator % p == 0 for x in a + b):
-        return False
-
-    def mod_p(poly: list) -> list:
-        return trim([x.numerator * pow(x.denominator, -1, p) % p for x in poly])
-
-    u, v = mod_p(b), mod_p(a)
-    while v:
-        inv = pow(v[-1], -1, p)
-        while len(u) >= len(v):
-            c = u[-1] * inv % p
-            shift = len(u) - len(v)
-            for j, y in enumerate(v):
-                u[shift + j] = (u[shift + j] - c * y) % p
-            u = trim(u)
-        u, v = v, u
-    return len(u) == 1

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import mul
 from typing import Sequence
 
 from .core import ANCHORED
 from .closed_form import RationalGF, Recurrence
-from .polys import PRIME_LADDER, poly_mul, trim
+from .polys import PRIME_LADDER, trim
 from .profile_dp import state_space_size, term_table
 
 
@@ -108,16 +109,24 @@ def predict(rec: Recurrence, seed: Sequence[int], count: int) -> list[int]:
 def to_gf(rec: Recurrence, terms: Sequence[int]) -> RationalGF:
     """Rational generating function Sum terms_n x^n of the recurrence
     seeded with the terms before n0; ValueError unless it reproduces every
-    given term. For the shortest register, as find_recurrence returns, the
-    fraction is in lowest terms: a common factor would give a shorter one.
-    A recurrence of more than the least order can leave one, and then
-    RationalGF raises ValueError."""
+    given term. Only the n0 coefficients of C * (0, *seed) below x^n0 are
+    built, C = 1 - c_1 x - ... - c_r x^r: the recurrence cancels the rest.
+
+    For a register find_recurrence returns, with the seed it was mined
+    from, the fraction is in lowest terms. BM's register of length L gives
+    num = x * P with L = max(deg C, deg P + 1). By Gauss's lemma a common
+    factor g over Q can be taken primitive in Z[x], so C / g and P / g are
+    integer polynomials and C / g has constant term 1. Mod p at the rung
+    that verified, they form a register of length <= L - deg g generating
+    the window, against BM's minimality. For any other recurrence or seed
+    the fraction may not be reduced; nothing here checks it."""
     seeded = Recurrence(rec.coefficients, tuple(terms[: rec.n0 - 1]))
     for n, (a, b) in enumerate(zip(seeded.terms(), terms), start=1):
         if a != b:
             raise ValueError(f"recurrence fails to reproduce term {n}")
     den = (1, *(-c for c in rec.coefficients))
-    num = trim(poly_mul(den, [0, *seeded.initial])[: rec.n0])
+    s = (0, *seeded.initial)
+    num = trim([sum(map(mul, den[: m + 1], s[m::-1])) for m in range(rec.n0)])
     return RationalGF(tuple(num), den)
 
 

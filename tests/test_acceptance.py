@@ -132,7 +132,9 @@ def test_criterion_09_oeis_fixture():
     r = compare(ours, theirs)
     ok = r.full_match_at_best_shift and r.best_shift in range(-3, 4)
     report(
-        f"criterion 9: A249665 fully matches the k=3 table (shift {r.best_shift})", ok
+        f"criterion 9: A249665 ({theirs.provenance}) fully matches the k=3 DP table"
+        f" (shift {r.best_shift})",
+        ok,
     )
 
 

@@ -212,6 +212,12 @@ def test_table_negative_max_n_is_usage_error(capsys):
     [
         (["table", "--k", "0", "--max-n", "0"], "k must be >= 1"),
         (["table", "--k", "4", "--max-n", "0", "--method", "closed"], "closed-form"),
+        (["table", "--k", "3", "--max-n", "0", "--variant", "endpoints:5,9"], "out of range"),
+        (
+            ["table", "--k", "3", "--max-n", "0", "--variant", "endpoints:5,9",
+             "--method", "brute"],
+            "out of range",
+        ),
     ],
 )
 def test_empty_ranges_still_check_the_request(capsys, argv, message):

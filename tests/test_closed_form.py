@@ -30,7 +30,7 @@ from anchorperms.closed_form import (
     k3_table,
 )
 from anchorperms.core import ANCHORED, FREE, CountTable, endpoints
-from anchorperms.polys import PRIME_LADDER, coprime_mod_p, poly_gcd
+from anchorperms.polys import poly_gcd
 
 
 def test_count_k1():
@@ -228,8 +228,6 @@ def test_recurrence_type_invariants():
 def test_rational_gf_type_invariants():
     with pytest.raises(ValueError):
         RationalGF((0, 1), (2, -1))
-    with pytest.raises(ValueError):
-        RationalGF((0, 1, -1), (1, -1))  # shares the factor 1 - x
 
 
 def test_rational_gf_reduced_preserves_value():
@@ -241,15 +239,6 @@ def test_rational_gf_reduced_preserves_value():
     gf = RationalGF.reduced([0, 4], [1, -1])
     assert gf == RationalGF((0, 4), (1, -1))
     assert expand_gf(gf, 3) == [4, 4, 4]
-
-
-def test_rational_gf_coprime_mod_p_falls_back_to_exact_gcd():
-    p = PRIME_LADDER[0]
-    # x p / (1 - x) vanishes mod p, so only the exact gcd can accept it.
-    assert not coprime_mod_p([0, p], [1, -1])
-    assert RationalGF((0, p), (1, -1)).numerator == (0, p)
-    assert coprime_mod_p(gf_k3().numerator, gf_k3().denominator)
-    assert not coprime_mod_p([0, 1, -1], [1, -1])
 
 
 def test_bad_n_rejected():

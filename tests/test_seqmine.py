@@ -7,7 +7,7 @@ from anchorperms.closed_form import (
     K3_COEFFS, RationalGF, Recurrence, expand_gf, gf_k2, gf_k3, k2_table, k3_table,
 )
 from anchorperms.core import endpoints
-from anchorperms.polys import PRIME_LADDER
+from anchorperms.polys import PRIME_LADDER, poly_gcd
 from anchorperms.profile_dp import term_table
 from anchorperms.seqmine import (
     InsufficientDataError,
@@ -170,11 +170,21 @@ def test_to_gf_takes_the_numerator_from_the_given_terms():
         to_gf(rec, lucas)
 
 
-def test_to_gf_rejects_a_longer_register_than_the_shortest():
-    # A constant sequence under a_n = 2 a_(n-1) - a_(n-2): the fraction
-    # x (1 - x) / (1 - x)^2 is not in lowest terms.
-    with pytest.raises(ValueError, match="share a factor"):
-        to_gf(Recurrence((2, -1), (1, 1)), [1] * 10)
+def test_bm_certifies_the_paper_gfs_minimal():
+    # BM's shortest register for a window of 2m + 4 terms, m the larger
+    # degree, has the GF's own order and transient: no shorter one exists.
+    for gf, m in ((gf_k2(), 3), (gf_k3(), 8)):
+        assert m == max(len(gf.denominator), len(gf.numerator)) - 1
+        terms = expand_gf(gf, 2 * m + 4)
+        rec = find_recurrence(terms, m)
+        assert (rec.order, rec.n0 - 1) == (len(gf.denominator) - 1, m)
+        assert to_gf(rec, terms) == gf
+
+
+def test_constant_sequence_mines_the_order_one_register():
+    rec = find_recurrence([1] * 10, 3)
+    assert rec == Recurrence((1,), (1,))
+    assert to_gf(rec, [1] * 10) == RationalGF((0, 1), (1, -1))
 
 
 def test_conjecture_probe_k2():
@@ -193,6 +203,8 @@ def test_conjecture_probe_k4():
     assert report.state_space_size == 95
     assert report.gf.denominator[0] == 1
     assert len(report.gf.denominator) == report.order + 1
+    # Exact, and independent of BM: the mined GF is in lowest terms.
+    assert len(poly_gcd(list(report.gf.numerator), list(report.gf.denominator))) == 1
 
 
 @pytest.fixture
