@@ -190,9 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Static data (its choices are method and suite names): built once, at import.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         with no_digit_limit():  # exact counts may run past 4300 digits
             return args.func(args)

@@ -3,7 +3,8 @@
 The test suite runs against a vendored fixture; live fetching is only
 exercised when a network (or local fixture server) is available. Base URL
 and cache directory are configurable through the OEIS_BASE_URL and
-OEIS_CACHE_DIR environment variables.
+OEIS_CACHE_DIR environment variables. The network stack (`urllib.request`,
+with `http.client`, `email` and `ssl`) is imported only on a cache miss.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-import tempfile
-import urllib.error
-import urllib.request
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
@@ -121,6 +119,9 @@ def fetch_terms(sequence_id: str, cache_dir, *, refresh: bool = False) -> CountT
     path = _cache_path(cache_dir, sequence_id)
     if path.exists() and not refresh:
         return parse_bfile(path.read_text())
+    import tempfile
+    import urllib.error
+    import urllib.request
     url = bfile_url(sequence_id)
     try:
         with urllib.request.urlopen(url, timeout=30) as resp:

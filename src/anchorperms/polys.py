@@ -2,11 +2,11 @@
 
 Polynomials are coefficient lists in ascending degree order. Only what the
 generating-function code needs: normalization, division and gcd.
+`Fraction` is imported only inside the exact division and gcd, which only
+`closed_form.RationalGF.reduced` uses.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 # The Mersenne primes 2^89 - 1 and 2^521 - 1: the rungs seqmine's miner
 # climbs.
@@ -21,6 +21,7 @@ def trim(p: list) -> list:
 
 def poly_divmod(a: list, b: list) -> tuple[list, list]:
     """Exact division with remainder over Q."""
+    from fractions import Fraction
     b = trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -37,6 +38,7 @@ def poly_divmod(a: list, b: list) -> tuple[list, list]:
 
 def poly_gcd(a: list, b: list) -> list:
     """Monic gcd over Q (empty list for gcd(0,0))."""
+    from fractions import Fraction
     a = trim([Fraction(x) for x in a])
     b = trim([Fraction(x) for x in b])
     while b:

@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from anchorperms.cli import main, parse_variant
+from anchorperms.cli import PARSER, main, parse_variant
 from anchorperms.closed_form import closed_table
 from anchorperms.core import ANCHORED, FREE
 from anchorperms.oeis import no_digit_limit
 from anchorperms.profile_dp import count_dp
+from anchorperms.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -305,3 +309,45 @@ def test_unknown_subcommand_exits_with_usage():
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2, argv
+
+
+def test_the_shared_parser_leaks_no_default_between_subcommands(capsys):
+    brute = PARSER.parse_args(["table", "--k", "3", "--max-n", "5", "--method", "brute"])
+    assert brute.method == "brute"
+    assert PARSER.parse_args(["count", "--k", "3", "--n", "5"]).method == "auto"
+    args = PARSER.parse_args(["table", "--k", "3", "--max-n", "5"])
+    assert (args.method, args.format) == ("dp", "bfile")
+    first = run(capsys, "table", "--k", "3", "--max-n", "30")
+    assert first[0] == 0 and first == run(capsys, "table", "--k", "3", "--max-n", "30")
+
+
+# Modules only a cache-miss fetch (the network stack) or the exact
+# polynomial gcd (fractions, which loads decimal) needs.
+RARE_PATH_MODULES = ("urllib.request", "http.client", "ssl", "email", "fractions", "decimal")
+
+
+def test_cli_runs_load_no_rare_path_module():
+    """Importing the package and running table, mine and every verify suite
+    (the oeis suite through fetch_terms' cache hit) loads none of them."""
+    package = Path(__file__).resolve().parent.parent / "src" / "anchorperms"
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    runs = [["table", "--k", "3", "--max-n", "20"]]
+    runs += [["mine", "--k", "4", "--terms", "80", "--holdout", "5"]]
+    runs += [["verify", "--suite", suite] for suite in SUITES]
+    code = f"""
+import contextlib, importlib, io, sys
+before = set(sys.modules)
+for name in {modules!r}:
+    importlib.import_module("anchorperms." + name)
+from anchorperms.cli import main
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in {RARE_PATH_MODULES!r} if m in set(sys.modules) - before))
+"""
+    env = {k: v for k, v in os.environ.items() if k != "OEIS_CACHE_DIR"}
+    env["PYTHONPATH"] = str(package.parent)
+    env["OEIS_BASE_URL"] = "http://127.0.0.1:9"  # a miss would fail here, not reach out
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

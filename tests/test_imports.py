@@ -64,6 +64,11 @@ def test_scan_flags_unused_and_keeps_used():
     assert unused_imports('from .dp import size\nreport = {"size": 1}\n') == ["size (line 1)"]
 
 
+def test_scan_checks_imports_deferred_into_a_function():
+    assert unused_imports("def f():\n    import tempfile\n    return tempfile\n") == []
+    assert unused_imports("def f():\n    import urllib.request\n") == ["urllib (line 2)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
